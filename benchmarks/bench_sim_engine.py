@@ -37,17 +37,19 @@ import numpy as np
 
 from _emit import emit_json
 
-from repro.apps import BASIC, GRID, WARP, get_app
+from repro.apps import BASIC, BLOCK, GRID, WARP, get_app
 from repro.sim.device import Device
 from repro.sim.engine import coalesce_round
 from repro.sim.engine_vec import segment_probe_order
 from repro.sim.events import LD, ST
 
-#: end-to-end cells: the cheapest and the most consolidation-heavy
-#: variants of two paper apps (the differential test matrix covers all
-#: 7 x 4; the bench keeps wall-clock in the seconds range)
-CASES = [("sssp", BASIC), ("sssp", WARP), ("sssp", GRID),
-         ("spmv", BASIC), ("spmv", GRID)]
+#: end-to-end cells: basic-dp plus every consolidated cell shape of the
+#: repository benchmark's dp-consolidated workload (the differential test
+#: matrix covers all 7 x 4; the bench keeps wall-clock in the seconds
+#: range)
+CASES = [("sssp", BASIC), ("sssp", WARP), ("sssp", BLOCK), ("sssp", GRID),
+         ("spmv", BASIC), ("spmv", WARP), ("spmv", GRID),
+         ("bfs_rec", GRID), ("th", GRID)]
 
 
 # -- end-to-end apps ----------------------------------------------------------
@@ -215,11 +217,11 @@ def main(argv=None) -> int:
     apps = time_apps(args.scale)
     slice_row = time_slice(args.rounds, args.width)
 
-    print(f"{'cell':<18} {'scalar':>9} {'vectorized':>11} {'speedup':>8}")
+    print(f"{'cell':<22} {'scalar':>9} {'vectorized':>11} {'speedup':>8}")
     for cell, row in apps.items():
-        print(f"{cell:<18} {row['scalar_s']:>8.3f}s "
+        print(f"{cell:<22} {row['scalar_s']:>8.3f}s "
               f"{row['vectorized_s']:>10.3f}s {row['speedup']:>7.2f}x")
-    print(f"{'slice (' + str(slice_row['events']) + ' events)':<18} "
+    print(f"{'slice (' + str(slice_row['events']) + ' events)':<22} "
           f"{slice_row['scalar_s']:>8.3f}s "
           f"{slice_row['vectorized_s']:>10.3f}s "
           f"{slice_row['speedup']:>7.1f}x")

@@ -110,6 +110,10 @@ class FunctionCompiler:
         self.lines: list[str] = []
         self.indent = 1
         self.kinds: list[dict[str, str]] = [{}]
+        #: per scope: C name -> Python local, for declarations that
+        #: shadow a name of an enclosing scope (Python has one scope per
+        #: function, so the inner variable needs a local of its own)
+        self.renames: list[dict[str, str]] = [{}]
         self.temp_counter = 0
         self.has_yield = False
 
@@ -124,12 +128,27 @@ class FunctionCompiler:
 
     def push_scope(self) -> None:
         self.kinds.append({})
+        self.renames.append({})
 
     def pop_scope(self) -> None:
         self.kinds.pop()
+        self.renames.pop()
 
-    def declare(self, name: str, kind: str) -> None:
+    def declare(self, name: str, kind: str) -> str:
+        """Declare ``name`` in the innermost scope; returns its Python
+        local, fresh when the declaration shadows an enclosing one."""
+        if any(name in scope for scope in self.kinds[:-1]):
+            self.renames[-1][name] = self.fresh(name + "_")
         self.kinds[-1][name] = kind
+        return self.local(name)
+
+    def local(self, name: str) -> str:
+        """The Python local holding the innermost visible ``name``."""
+        for scope, renames in zip(reversed(self.kinds),
+                                  reversed(self.renames)):
+            if name in scope:
+                return renames.get(name, name)
+        return name
 
     def kind_of(self, name: str) -> str | None:
         for scope in reversed(self.kinds):
@@ -271,29 +290,31 @@ class FunctionCompiler:
         if d.array_size is not None:
             size = self.expr(d.array_size)
             if s.shared:
-                self.declare(d.name, _SHARED_ARRAY)
-                self.emit(f"{d.name} = ctx.shared_array({d.name!r}, {size})")
+                name = self.declare(d.name, _SHARED_ARRAY)
+                self.emit(f"{name} = ctx.shared_array({d.name!r}, {size})")
             else:
-                self.declare(d.name, _LOCAL_ARRAY)
+                name = self.declare(d.name, _LOCAL_ARRAY)
                 init = "0.0" if d.type.is_float else "0"
-                self.emit(f"{d.name} = [{init}] * ({size})")
+                self.emit(f"{name} = [{init}] * ({size})")
             if d.init is not None:
                 raise self.err("array initializers are not supported", d)
             return
         if s.shared:
             # scalar shared variable: back it with a one-element list
-            self.declare(d.name, _SHARED_SCALAR)
-            self.emit(f"{d.name} = ctx.shared_array({d.name!r}, 1)")
+            name = self.declare(d.name, _SHARED_SCALAR)
+            self.emit(f"{name} = ctx.shared_array({d.name!r}, 1)")
             if d.init is not None:
-                self.emit(f"{d.name}[0] = {self.expr(d.init)}")
+                self.emit(f"{name}[0] = {self.expr(d.init)}")
             return
         kind = _PTR if d.type.is_pointer else _SCALAR
-        self.declare(d.name, kind)
+        # the initializer is compiled before the name is declared, so a
+        # shadowing `int i = i + 1;` reads the enclosing i (as the CPU
+        # backend evaluates it)
         if d.init is not None:
-            self.emit(f"{d.name} = {self.expr(d.init)}")
+            value = self.expr(d.init)
         else:
-            default = "0.0" if d.type.is_float else ("None" if kind == _PTR else "0")
-            self.emit(f"{d.name} = {default}")
+            value = "0.0" if d.type.is_float else ("None" if kind == _PTR else "0")
+        self.emit(f"{self.declare(d.name, kind)} = {value}")
 
     # ------------------------------------------------- expression statements
 
@@ -323,17 +344,18 @@ class FunctionCompiler:
         target = e.target
         if isinstance(target, Ident):
             kind = self.kind_of(target.name)
+            name = self.local(target.name)
             if kind == _SHARED_SCALAR:
                 if e.op == "=":
-                    self.emit(f"{target.name}[0] = {self.expr(e.value)}")
+                    self.emit(f"{name}[0] = {self.expr(e.value)}")
                 else:
-                    self.emit(f"{target.name}[0] {e.op} {self.expr(e.value)}")
+                    self.emit(f"{name}[0] {e.op} {self.expr(e.value)}")
                 return
             if e.op == "=":
-                self.emit(f"{target.name} = {self.expr(e.value)}")
+                self.emit(f"{name} = {self.expr(e.value)}")
             else:
-                self.emit(f"{target.name} {e.op} {self.expr(e.value)}")
-            self._retype_int_assign(target, e)
+                self.emit(f"{name} {e.op} {self.expr(e.value)}")
+            self._retype_int_assign(name, e)
             return
         if isinstance(target, Index) or (isinstance(target, UnOp) and target.op == "*"):
             base, index = self.lvalue_base_index(target)
@@ -358,23 +380,23 @@ class FunctionCompiler:
             return
         raise self.err("unsupported assignment target", e)
 
-    def _retype_int_assign(self, target: Ident, e: Assign) -> None:
+    def _retype_int_assign(self, name: str, e: Assign) -> None:
         # C would truncate float->int on assignment to an int scalar; emit a
         # coercion only when the value type is float and the target is int.
         tt = getattr(e.target, "ty", None)
         vt = getattr(e.value, "ty", None)
         if tt is not None and vt is not None and tt.is_integer and vt.is_float:
-            self.emit(f"{target.name} = int({target.name})")
+            self.emit(f"{name} = int({name})")
 
     def compile_incdec_stmt(self, e: IncDec) -> None:
         delta = "+ 1" if e.op == "++" else "- 1"
         target = e.operand
         if isinstance(target, Ident):
-            kind = self.kind_of(target.name)
-            if kind == _SHARED_SCALAR:
-                self.emit(f"{target.name}[0] = {target.name}[0] {delta}")
+            name = self.local(target.name)
+            if self.kind_of(target.name) == _SHARED_SCALAR:
+                self.emit(f"{name}[0] = {name}[0] {delta}")
             else:
-                self.emit(f"{target.name} = {target.name} {delta}")
+                self.emit(f"{name} = {name} {delta}")
             return
         if isinstance(target, Index) or (isinstance(target, UnOp) and target.op == "*"):
             base, index = self.lvalue_base_index(target)
@@ -398,7 +420,7 @@ class FunctionCompiler:
         assert isinstance(target, Index)
         base = target.base
         if isinstance(base, Ident):
-            return base.name, self.expr(target.index)
+            return self.local(base.name), self.expr(target.index)
         # e.g. (p + k)[i]
         return self.expr(base), self.expr(target.index)
 
@@ -430,10 +452,10 @@ class FunctionCompiler:
         if isinstance(e, Ident):
             if e.name in BUILTIN_CONSTANTS and self.kind_of(e.name) is None:
                 return repr(BUILTIN_CONSTANTS[e.name][1])
-            kind = self.kind_of(e.name)
-            if kind == _SHARED_SCALAR:
-                return f"{e.name}[0]"
-            return e.name
+            name = self.local(e.name)
+            if self.kind_of(e.name) == _SHARED_SCALAR:
+                return f"{name}[0]"
+            return name
         if isinstance(e, BuiltinVar):
             return self.builtin_var(e)
         if isinstance(e, UnOp):
@@ -534,12 +556,13 @@ class FunctionCompiler:
         base = e.base
         if isinstance(base, Ident):
             kind = self.kind_of(base.name)
+            name = self.local(base.name)
             if kind in (_LOCAL_ARRAY, _SHARED_ARRAY, _SHARED_SCALAR):
-                return f"{base.name}[{self.expr(e.index)}]"
+                return f"{name}[{self.expr(e.index)}]"
             if kind is None:
                 raise self.err(f"unknown identifier {base.name!r}", e)
             self.has_yield = True
-            return f"(yield (LD, {base.name}, {self.expr(e.index)}))"
+            return f"(yield (LD, {name}, {self.expr(e.index)}))"
         # computed pointer, e.g. (p + k)[i]
         self.has_yield = True
         return f"(yield (LD, {self.expr(base)}, {self.expr(e.index)}))"

@@ -78,22 +78,34 @@ class MemorySystem:
         self.l2 = L2Cache(spec.l2_bytes, spec.dram_segment_bytes)
         self.counters = MemoryCounters()
 
-    def access_segments(self, segments) -> int:
-        """Account a warp's coalesced segment set; returns stall cycles."""
-        cycles = 0
+    def access_segments(self, segments, repeat: int = 1) -> int:
+        """Account an ordered sequence of segment accesses (a warp's
+        coalesced set, or a run of buffer reads/writes); returns stall
+        cycles.
+
+        ``repeat`` prices every segment as ``repeat`` back-to-back
+        accesses. Each run of equal consecutive accesses makes one real
+        L2 probe and counts the rest as hits. This is exact: after its
+        first probe a segment is its set's MRU line, and probing the MRU
+        line again hits and leaves the LRU order unchanged.
+        """
         probe = self.l2.probe
-        hit_cycles = self.cost.l2_hit_cycles
-        miss_cycles = self.cost.dram_transaction_cycles
-        counters = self.counters
+        hits = misses = 0
+        last = None
         for seg in segments:
-            if probe(seg):
-                counters.l2_hits += 1
-                cycles += hit_cycles
+            if seg == last or probe(seg):
+                hits += 1
             else:
-                counters.l2_misses += 1
-                counters.dram_transactions += 1
-                cycles += miss_cycles
-        return cycles
+                misses += 1
+            last = seg
+        if repeat > 1:
+            hits += (repeat - 1) * (hits + misses)
+        counters = self.counters
+        counters.l2_hits += hits
+        counters.l2_misses += misses
+        counters.dram_transactions += misses
+        return (hits * self.cost.l2_hit_cycles
+                + misses * self.cost.dram_transaction_cycles)
 
     def charge_overhead(self, tag: str, transactions: int) -> None:
         """Charge DRAM traffic that bypasses kernel code (launch-parameter

@@ -17,6 +17,7 @@ program enqueues work and then blocks.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Union
 
 import numpy as np
@@ -99,10 +100,14 @@ class Device:
                 f"unknown sim engine {engine!r}; "
                 f"available: {', '.join(sorted(ENGINES))}")
         extra = {"dp": self.dp} if engine_cls is VectorizedEngine else {}
+        # the engine reaches the device through a weak reference: a bound
+        # method would close the cycle device -> engine -> device, which
+        # keeps a finished run's arrays and L2 alive until a full GC
+        on_launch = weakref.WeakMethod(self._on_device_launch)
         self.engine = engine_cls(
             spec, cost, self.memsys, self.kernels,
             intrinsic_handler=self.dp.handle_intrinsic,
-            on_launch=self._on_device_launch,
+            on_launch=lambda *args: on_launch()(*args),
             **extra,
         )
         # deep profiling (repro.perf): a collector bound via

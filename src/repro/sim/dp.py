@@ -226,60 +226,53 @@ class DPRuntime:
         seg_bytes = self.spec.dram_segment_bytes
         row_bytes = nvars * _ITEM_BYTES
         addr0 = buf.storage.addr_of(base0) + np.arange(k) * row_bytes
-        seg_lo = addr0 // seg_bytes
-        seg_hi = (addr0 + row_bytes - 1) // seg_bytes
-        total = k * per_push
-        probe = self.memsys.l2.probe
-        counters = self.memsys.counters
-        hit_cycles = self.cost.l2_hit_cycles
-        miss_cycles = self.cost.dram_transaction_cycles
-        # same per-segment probes, counters and L2 state as one
-        # access_segments({seg}) call per push, minus the call overhead
-        for lo, hi in zip(seg_lo.tolist(), seg_hi.tolist()):
-            for seg in range(lo, hi + 1):
-                if probe(seg):
-                    counters.l2_hits += 1
-                    total += hit_cycles
-                else:
-                    counters.l2_misses += 1
-                    counters.dram_transactions += 1
-                    total += miss_cycles
+        seg_lo = (addr0 // seg_bytes).tolist()
+        seg_hi = ((addr0 + row_bytes - 1) // seg_bytes).tolist()
+        # the segments of one push after another, in scalar push order
+        if seg_lo != seg_hi:
+            seg_lo = [seg for lo, hi in zip(seg_lo, seg_hi)
+                      for seg in range(lo, hi + 1)]
+        total = k * per_push + self.memsys.access_segments(seg_lo)
         if self.profiler is not None:
             self.profiler.record_push(scope, k, total)
         return list(range(slot0, slot0 + k)), total
 
     def get_many(self, handle: int, slots: list, flds: list):
-        """Batched :meth:`get`: one gather, per-read L2 pricing in order."""
+        """Batched :meth:`get`: per-read L2 pricing in order. A round
+        where every lane reads one (slot, field) is one read and one
+        probe plus counted repeat hits; others are one gather."""
         buf = self.buffers.get(int(handle))
         if buf is None:
             return None
-        try:
-            pos = (np.asarray(slots, dtype=np.int64) * buf.nvars
-                   + np.asarray(flds, dtype=np.int64))
-            slot_arr = np.asarray(slots, dtype=np.int64)
-        except (OverflowError, ValueError, TypeError):
-            return None
-        if len(slots) and (int(slot_arr.min()) < 0
-                           or int(slot_arr.max()) >= buf.count):
-            return None  # scalar get raises the bounds error
-        values = buf.storage.data[pos].tolist()
+        n = len(slots)
         seg_bytes = self.spec.dram_segment_bytes
-        segs = (buf.storage.base_addr + pos * _ITEM_BYTES) // seg_bytes
-        total = 0
-        probe = self.memsys.l2.probe
-        counters = self.memsys.counters
-        hit_cycles = self.cost.l2_hit_cycles
-        miss_cycles = self.cost.dram_transaction_cycles
-        for seg in segs.tolist():
-            if probe(seg):
-                counters.l2_hits += 1
-                total += hit_cycles
-            else:
-                counters.l2_misses += 1
-                counters.dram_transactions += 1
-                total += miss_cycles
+        base_addr = buf.storage.base_addr
+        s0 = slots[0]
+        f0 = flds[0]
+        nvars = buf.nvars
+        if (type(s0) is int and type(f0) is int
+                and slots.count(s0) == n and flds.count(f0) == n):
+            if not (0 <= s0 < buf.count and 0 <= f0 < nvars):
+                return None  # scalar get raises the bounds error
+            pos = s0 * nvars + f0
+            values = [buf.storage.data[pos].item()] * n
+            total = self.memsys.access_segments(
+                ((base_addr + pos * _ITEM_BYTES) // seg_bytes,), n)
+        else:
+            try:
+                slot_arr = np.asarray(slots, dtype=np.int64)
+                fld_arr = np.asarray(flds, dtype=np.int64)
+            except (OverflowError, ValueError, TypeError):
+                return None
+            if (int(slot_arr.min()) < 0 or int(slot_arr.max()) >= buf.count
+                    or int(fld_arr.min()) < 0 or int(fld_arr.max()) >= nvars):
+                return None  # scalar get raises the bounds error
+            pos = slot_arr * nvars + fld_arr
+            values = buf.storage.data[pos].tolist()
+            total = self.memsys.access_segments(
+                ((base_addr + pos * _ITEM_BYTES) // seg_bytes).tolist())
         if self.profiler is not None:
-            self.profiler.record_pop(len(values), total)
+            self.profiler.record_pop(n, total)
         return values, total
 
     def size_many(self, handle: int, k: int):
@@ -321,7 +314,7 @@ class DPRuntime:
             )
         value = int(buf.storage.data[slot * buf.nvars + fld])
         seg = buf.storage.addr_of(slot * buf.nvars + fld) // self.spec.dram_segment_bytes
-        cycles = self.memsys.access_segments({seg})
+        cycles = self.memsys.access_segments((seg,))
         if self.profiler is not None:
             self.profiler.record_pop(1, cycles)
         return value, cycles

@@ -36,6 +36,17 @@ Equivalence argument (DESIGN.md §15 carries the long form):
    them into the set in exactly the scalar access order, making the L2
    probe sequence (and therefore every later hit/miss) identical.
 
+4. **Operand-uniform collapse.** A uniform round in which every lane
+   loads one element, or reads one (slot, field) of a buffer, is one
+   read; the L2 side folds the n equal accesses (a repeat is an MRU
+   hit that leaves LRU order unchanged).
+
+5. **Read batching in divergent rounds.** When a mixed round's only
+   intrinsics are ``buf_get`` reads of one buffer, one ``get_many``
+   serves them before the lane loop: buffer storage is reachable only
+   through intrinsics, and the scalar engine probes intrinsic reads in
+   lane order before the round's coalesced accesses.
+
 Rounds that are divergent (mixed opcodes), touch several arrays, or hit
 an edge case (bounds violation, integer overflow, buffer grow) take the
 sequential path, which is a line-for-line copy of the scalar engine's
@@ -166,6 +177,8 @@ class VectorizedEngine(FunctionalEngine):
             add_event = events.append
             dirty = False
             op0 = -1  # -1: unset, -2: mixed opcodes
+            prev = -1
+            has_intr = False
             for i in live:
                 try:
                     ev = threads[i].send(pending[i])
@@ -177,8 +190,12 @@ class VectorizedEngine(FunctionalEngine):
                 add_lane(i)
                 add_event(ev)
                 op = ev[0]
-                if op != op0 and op0 != -2:
-                    op0 = op if op0 == -1 else -2
+                if op != prev:
+                    # an opcode change: the first event, or a mixed round
+                    op0 = op if prev == -1 else -2
+                    if op == INTR:
+                        has_intr = True
+                    prev = op
             active = len(lanes)
             if active == 0:
                 # all live lanes hit a barrier simultaneously or finished
@@ -219,6 +236,12 @@ class VectorizedEngine(FunctionalEngine):
                         atomics = {0: 1}
                         processed = True
             if not processed:
+                reads = None
+                if has_intr and op0 == -2 and self._dp is not None:
+                    out = self._batch_reads(events)
+                    if out is not None:
+                        reads = iter(out[0])
+                        extra_cycles += out[1]
                 accesses: list[tuple[int, int]] = []
                 for i, ev in zip(lanes, events):
                     op = ev[0]
@@ -258,10 +281,13 @@ class VectorizedEngine(FunctionalEngine):
                     elif op == DEVSYNC:
                         devsync_requested = True
                     elif op == INTR:
-                        value, cycles = self.intrinsic_handler(
-                            ev[1], ev[2], inst, ctxs[i])
-                        pending[i] = value
-                        extra_cycles += cycles
+                        if reads is not None:
+                            pending[i] = next(reads)
+                        else:
+                            value, cycles = self.intrinsic_handler(
+                                ev[1], ev[2], inst, ctxs[i])
+                            pending[i] = value
+                            extra_cycles += cycles
                     else:  # pragma: no cover - defensive
                         raise SimulationError(f"unknown event opcode {op}")
                 if accesses:
@@ -316,6 +342,19 @@ class VectorizedEngine(FunctionalEngine):
         return segment_probe_order(addrs, itemsize, seg_bytes)
 
     def _batch_loads(self, lanes, events, pending, seg_bytes):
+        ev = events[0]
+        if events[-1] == ev and events.count(ev) == len(events):
+            # every lane loads one element (a child's dist[u], row_ptr[u]):
+            # one read, one access in the coalesced set
+            arr = ev[1]
+            idx = ev[2]
+            value = arr.load(idx)
+            for i in lanes:
+                pending[i] = value
+            addr = arr.addr_of(idx)
+            first = addr // seg_bytes
+            last = (addr + arr.itemsize - 1) // seg_bytes
+            return {first} if first == last else {first, last}
         idxs, arr = self._round_indices(events)
         if idxs is None:
             return None
@@ -428,12 +467,13 @@ class VectorizedEngine(FunctionalEngine):
             arity = 1
         else:
             return None
+        args = events[0][2]
+        if len(args) != arity:
+            return None
+        handle = args[0]
         for ev in events:
-            if ev[1] != name or len(ev[2]) != arity:
-                return None
-        handle = events[0][2][0]
-        for ev in events:
-            if ev[2][0] != handle:
+            args = ev[2]
+            if ev[1] != name or len(args) != arity or args[0] != handle:
                 return None
         dp = self._dp
         if name in _PUSH_NAMES:
@@ -449,3 +489,26 @@ class VectorizedEngine(FunctionalEngine):
         for i, value in zip(lanes, values):
             pending[i] = value
         return cycles
+
+    def _batch_reads(self, events):
+        """Serve a mixed round's intrinsics with one ``get_many`` when
+        they are all ``buf_get`` reads of one buffer.
+
+        Returns ``(values in lane order, cycles)``, or None to fall
+        back. Exact because buffer storage is reachable only through
+        intrinsics (the round's LD/ST/ATOM cannot touch it) and the
+        scalar engine probes intrinsic reads in lane order, before the
+        round's coalesced accesses."""
+        handle = None
+        slots = []
+        flds = []
+        for ev in events:
+            if ev[0] == INTR:
+                args = ev[2]
+                if (ev[1] != "buf_get" or len(args) != 3
+                        or (slots and args[0] != handle)):
+                    return None
+                handle = args[0]
+                slots.append(args[1])
+                flds.append(args[2])
+        return self._dp.get_many(handle, slots, flds)

@@ -52,16 +52,14 @@ class DeviceArray:
     small: the interpreter touches these on every memory event.
     """
 
-    __slots__ = ("name", "data", "base_addr", "itemsize", "offset", "_root")
+    __slots__ = ("name", "data", "base_addr", "itemsize", "offset")
 
-    def __init__(self, name: str, data: np.ndarray, base_addr: int, offset: int = 0,
-                 root: Optional["DeviceArray"] = None):
+    def __init__(self, name: str, data: np.ndarray, base_addr: int, offset: int = 0):
         self.name = name
         self.data = data
         self.base_addr = base_addr
         self.itemsize = data.dtype.itemsize
         self.offset = offset
-        self._root = root if root is not None else self
 
     # -- pointer arithmetic --------------------------------------------------
 
@@ -69,8 +67,7 @@ class DeviceArray:
         """``p + k`` — a shifted view sharing storage and address space."""
         if k == 0:
             return self
-        return DeviceArray(self.name, self.data, self.base_addr, self.offset + int(k),
-                           root=self._root)
+        return DeviceArray(self.name, self.data, self.base_addr, self.offset + int(k))
 
     # -- functional access (host-side / interpreter) -------------------------
 

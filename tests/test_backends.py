@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import __version__
 from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
@@ -230,8 +230,34 @@ def test_cpu_backend_matches_sim(key, variant, datasets):
 
 _fuzz_body = minicuda_body()
 
+#: fuzzed bodies whose loops redeclare an enclosing loop's counter, with
+#: the ``acc`` C semantics give (computed by hand): the inner ``i`` is a
+#: variable of its own, so the outer counter keeps counting
+SHADOWED_LOOP_BODIES = (
+    ("for (int i1 = 0; i1 < 2; i1++) { for (int i1 = 0; i1 < 2; i1++) "
+     "{ acc = acc + i1 + 1; } }", 6),
+    ("for (int i0 = 0; i0 < 1; i0++) { for (int i0 = 0; i0 < 2; i0++) "
+     "{ acc = acc + i0; } acc = acc + i0 * 10; }", 1),
+    ("for (int i1 = 0; i1 < 2; i1++) { for (int i1 = 0; i1 < 2; i1++) "
+     "{ for (int i1 = 0; i1 < 2; i1++) { acc = acc + i1 + 1; } } }", 12),
+    ("for (int i1 = 0; i1 < 2; i1++) { acc = acc + i1; } "
+     "for (int i1 = 0; i1 < 3; i1++) { acc = acc + i1; }", 4),
+)
+
+
+@pytest.mark.parametrize("body,acc", SHADOWED_LOOP_BODIES)
+@pytest.mark.parametrize("device_factory", [Device, CpuDevice])
+def test_shadowed_loop_counters_follow_c_scoping(body, acc, device_factory):
+    src = make_fuzz_kernel(body)
+    out, = run_source(src, "fuzz", 1, 8, [("out", np.zeros(8, np.int32))],
+                      (5,), device_factory=device_factory)
+    assert out.tolist() == [acc] * 8
+
 
 @given(_fuzz_body)
+@example(SHADOWED_LOOP_BODIES[0][0])
+@example(SHADOWED_LOOP_BODIES[1][0])
+@example(SHADOWED_LOOP_BODIES[2][0])
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_programs_match_sim(body):
     """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as

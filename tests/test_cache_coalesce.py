@@ -99,3 +99,55 @@ class TestMemorySystem:
         ms.reset()
         assert ms.counters.dram_transactions == 0
         assert ms.l2.probe(1) is False
+
+
+def _per_probe(ms, segments):
+    """Reference pricing: one real L2 probe per access, no folding."""
+    cycles = 0
+    for seg in segments:
+        if ms.l2.probe(seg):
+            ms.counters.l2_hits += 1
+            cycles += ms.cost.l2_hit_cycles
+        else:
+            ms.counters.l2_misses += 1
+            ms.counters.dram_transactions += 1
+            cycles += ms.cost.dram_transaction_cycles
+    return cycles
+
+
+def _l2_state(ms):
+    return [list(s) for s in ms.l2._sets]
+
+
+#: ordered segment sequences with runs: (segment, run length) pairs over a
+#: universe larger than TINY's 128 lines, so runs mix hits, misses and
+#: evictions
+_runs = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 5)),
+                 max_size=60)
+
+
+class TestFoldedPricing:
+    @given(_runs, st.lists(st.integers(0, 300), max_size=40),
+           st.integers(1, 4))
+    def test_folded_pricer_matches_per_probe_loop(self, runs, warm, repeat):
+        segments = [seg for seg, n in runs for _ in range(n)]
+        folded = MemorySystem(TINY, CostModel())
+        reference = MemorySystem(TINY, CostModel())
+        # a warmed L2 so the sequence starts on resident lines too
+        folded.access_segments(warm)
+        _per_probe(reference, warm)
+        cycles = folded.access_segments(segments, repeat)
+        expected = _per_probe(
+            reference, [seg for seg in segments for _ in range(repeat)])
+        assert cycles == expected
+        assert folded.counters == reference.counters
+        assert _l2_state(folded) == _l2_state(reference)
+
+    def test_a_run_makes_one_real_probe(self):
+        ms = MemorySystem(TINY, CostModel())
+        probes = []
+        real = ms.l2.probe
+        ms.l2.probe = lambda seg: probes.append(seg) or real(seg)
+        ms.access_segments([5, 5, 5, 9, 5, 5], repeat=2)
+        assert probes == [5, 9, 5]
+        assert ms.counters.l2_misses == 2 and ms.counters.l2_hits == 10

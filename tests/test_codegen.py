@@ -276,6 +276,22 @@ class TestGeneratedSource:
         info2 = check_module(parse(src))
         assert generate_module_source(info1) == generate_module_source(info2)
 
+    def test_only_shadowing_declarations_get_a_fresh_local(self):
+        src = """__global__ void k(int* a) {
+            for (int i = 0; i < 2; i++) { a[i] = i; }
+            for (int i = 0; i < 2; i++) {
+                for (int i = 0; i < 1; i++) { a[0] = i; }
+            }
+        }"""
+        source = generate_module_source(check_module(parse(src)))
+        lines = [line.strip() for line in source.splitlines()]
+        # the two sibling loops share the plain local, the inner one
+        # that shadows the second gets its own
+        assert lines.count("i = 0") == 2
+        fresh = [line for line in lines
+                 if line.startswith("__i_") and line.endswith(" = 0")]
+        assert len(fresh) == 1
+
     def test_kernels_table_lists_kernels_only(self):
         src = """
         __device__ int f(int x) { return x; }

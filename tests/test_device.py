@@ -106,3 +106,30 @@ class TestMetrics:
         fast = RunMetrics(cycles=100)
         slow = RunMetrics(cycles=1000)
         assert fast.speedup_over(slow) == pytest.approx(10.0)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    def test_finished_run_leaves_no_cyclic_garbage(self, engine):
+        # a finished run's device, L2 sets and arrays are freed by
+        # reference counting, not left for a full collection
+        import gc
+        from collections import OrderedDict
+
+        from repro.apps import get_app
+        from repro.sim.memory import DeviceArray
+
+        app = get_app("sssp")
+        dataset = app.default_dataset(0.05)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            app.run("grid-level", dataset, oracle=(
+                "sim-scalar" if engine == "scalar" else None))
+            gc.collect()
+            leaked = {type(obj).__name__ for obj in gc.garbage
+                      if isinstance(obj, (Device, DeviceArray, OrderedDict))}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == set()
