@@ -1,6 +1,6 @@
-"""Backend bench: CPU-backend vs simulator wall-clock, per app/variant.
+"""CPU-engine bench: ``cpu`` vs simulator wall-clock, per app/variant.
 
-The NumPy/multiprocessing CPU backend exists for *cross-checking* — it
+The NumPy/multiprocessing CPU interpreter exists for *cross-checking* — it
 replays the simulator's canonical schedule without the timing model, so
 its only performance question is how much interpreter overhead the
 differential harness pays per run. This bench times both engines on the
@@ -50,10 +50,10 @@ def time_pairs(scale: float) -> dict:
         t0 = time.perf_counter()
         sim = app.run(variant, dataset=dataset, verify=False)
         t1 = time.perf_counter()
-        cpu = app.run(variant, dataset=dataset, verify=False, backend="cpu")
+        cpu = app.run(variant, dataset=dataset, verify=False, engine="cpu")
         t2 = time.perf_counter()
         if not np.array_equal(sim.result, cpu.result):
-            raise AssertionError(f"cpu backend diverged on {key} [{variant}]")
+            raise AssertionError(f"cpu engine diverged on {key} [{variant}]")
         rows[f"{key}:{variant}"] = {
             "sim_s": round(t1 - t0, 4),
             "cpu_s": round(t2 - t1, 4),

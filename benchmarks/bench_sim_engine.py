@@ -5,7 +5,7 @@ would be timing two different computations):
 
 * **apps** — end-to-end wall-clock per app x variant, the vectorized
   engine (the default) against the scalar reference selected via
-  ``oracle="sim-scalar"``. RunMetrics must match field for field. This
+  ``engine="scalar"``. RunMetrics must match field for field. This
   measures the *live* speedup, which is bounded by everything batching
   cannot touch (kernel-generator Python, divergent rounds, the timing
   model).
@@ -64,7 +64,7 @@ def time_apps(scale: float, reps: int = 3) -> dict:
         for _ in range(reps):  # alternated, best-of: tames compile noise
             t0 = time.perf_counter()
             ref = app.run(variant, dataset=dataset, verify=False,
-                          oracle="sim-scalar")
+                          engine="scalar")
             t1 = time.perf_counter()
             vec = app.run(variant, dataset=dataset, verify=False)
             t2 = time.perf_counter()

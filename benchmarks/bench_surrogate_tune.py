@@ -48,8 +48,8 @@ SPACE = TuningSpace(strategies=(None, "warp", "grid"),
                     configs=(ConfigChoice(), ConfigChoice(kc_x=1)))
 
 
-def _tune(app, scale, root, algorithm, oracle=None, training_log=None):
-    tuner = Tuner(scale=scale, store=ResultStore(root), oracle=oracle,
+def _tune(app, scale, root, algorithm, prefilter=None, training_log=None):
+    tuner = Tuner(scale=scale, store=ResultStore(root), prefilter=prefilter,
                   training_log=training_log)
     t0 = time.perf_counter()
     result = tuner.tune(app, "cycles", algorithm=algorithm, space=SPACE)
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
 
         surr_result, surrogate = _tune(
             args.app, args.scale, tmp / "surrogate", "halving",
-            oracle="surrogate", training_log=warm_log)
+            prefilter="surrogate", training_log=warm_log)
 
         rho, train_rows = _rank_correlation(args.app, grid_result, warm_log,
                                             args.scale)

@@ -99,10 +99,22 @@ class AppRun:
     #: consolidation strategy, when the variant alone doesn't imply one
     #: (i.e. a non-builtin strategy ran under the 'consolidated' variant)
     strategy: Optional[str] = None
-    #: execution backend the run used; None = the default simulator
-    backend: Optional[str] = None
-    #: exact oracle (engine selection) the run used; None = the default
-    oracle: Optional[str] = None
+    #: engine the run executed on (:mod:`repro.engines`); None = the
+    #: default
+    engine: Optional[str] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # runs pickled before the engine axis carry ``backend`` and
+        # ``oracle`` attributes instead; lower them onto ``engine``
+        if "engine" not in state:
+            from ..engines import from_legacy
+
+            state = dict(state)
+            backend = state.pop("backend", None)
+            oracle = state.pop("oracle", None)
+            state["engine"] = (from_legacy("backend", backend)
+                               or from_legacy("oracle", oracle))
+        self.__dict__.update(state)
 
 
 class App(abc.ABC):
@@ -215,8 +227,7 @@ class App(abc.ABC):
             heap_bytes: Optional[int] = None, verify: bool = True,
             threshold: Optional[int] = None,
             strategy: Optional[str] = None,
-            backend: Optional[str] = None,
-            oracle: Optional[str] = None) -> AppRun:
+            engine: Optional[str] = None) -> AppRun:
         """Execute one configuration on a fresh device and profile it.
 
         The first argument is either a variant name with the per-axis
@@ -228,15 +239,14 @@ class App(abc.ABC):
         ``threshold`` overrides the app's work-delegation threshold for
         this run only (the ablation harness sweeps it); ``strategy``
         selects the consolidation strategy for the ``consolidated``
-        variant; ``backend`` names a registered execution backend
-        (:mod:`repro.backends`; ``None`` = the simulator); ``oracle``
-        names a registered *exact* oracle (:mod:`repro.oracle`) deciding
-        which functional engine runs (``None`` = the default). The
+        variant; ``engine`` names a registered engine
+        (:mod:`repro.engines`; ``None`` = the default). The
         returned :class:`AppRun` is plain picklable data, so the
         experiment runner can execute runs in worker processes and
         persist them in its on-disk result store.
         """
-        from ..run_config import RunConfig
+        from ..engines import engine_for
+        from ..run_config import RunConfig, canonical_engine
 
         trace_path = None
         profile_path = None
@@ -246,7 +256,7 @@ class App(abc.ABC):
             profile_path = cfg.profile
             clashing = [name for name, value in (
                 ("threshold", threshold), ("strategy", strategy),
-                ("backend", backend), ("oracle", oracle),
+                ("engine", engine),
             ) if value is not None]
             if clashing or allocator != "custom" or config is not None:
                 clashing += ([] if allocator == "custom" else ["allocator"])
@@ -255,8 +265,8 @@ class App(abc.ABC):
                     "a RunConfig already carries every axis; drop the "
                     f"per-axis keyword(s) {', '.join(clashing)}")
             variant, strategy = cfg.variant, cfg.strategy
-            threshold, backend = cfg.threshold, cfg.backend
-            oracle, allocator = cfg.oracle, cfg.allocator
+            threshold, engine = cfg.threshold, cfg.engine
+            allocator = cfg.allocator
             if cfg.config is not None:
                 mode, blocks, threads = cfg.config
                 config = LaunchConfig(mode=mode, blocks=blocks,
@@ -266,20 +276,7 @@ class App(abc.ABC):
 
                 dataset = materialize_for_app(self, cfg.workload, scale)
         variant, strategy = canonicalize_variant(variant, strategy)
-        engine = None
-        if oracle is not None:
-            from ..oracle import DEFAULT_ORACLE, get_oracle
-
-            resolved = get_oracle(oracle)
-            if not resolved.exact:
-                raise ValueError(
-                    f"oracle {resolved.name!r} is a learned approximation "
-                    "and cannot execute runs; use it as a tuning "
-                    "prefilter (`repro tune --oracle surrogate`)")
-            engine = resolved.engine
-            # record the canonical spelling (the default folds onto None)
-            oracle = (None if resolved.name == DEFAULT_ORACLE
-                      else resolved.name)
+        engine = canonical_engine(engine)
         if dataset is None:
             dataset = self.default_dataset(scale)
         from contextlib import ExitStack
@@ -310,19 +307,9 @@ class App(abc.ABC):
             try:
                 source, report = self.variant_source(
                     variant, config=config, spec=spec, strategy=strategy)
-                if backend is None:
-                    kwargs = ({} if heap_bytes is None
-                              else {"heap_bytes": heap_bytes})
-                    if engine is not None:
-                        kwargs["engine"] = engine
-                    device = Device(spec=spec, cost=cost, allocator=allocator,
-                                    **kwargs)
-                else:
-                    from ..backends import get_backend
-
-                    device = get_backend(backend).make_device(
-                        spec=spec, cost=cost, allocator=allocator,
-                        heap_bytes=heap_bytes, engine=engine)
+                device = engine_for(engine).make_device(
+                    spec=spec, cost=cost, allocator=allocator,
+                    heap_bytes=heap_bytes)
                 program = device.load(source)
                 result = self.host_run(device, program, dataset, variant)
                 metrics = device.synchronize()
@@ -351,7 +338,7 @@ class App(abc.ABC):
             app=self.key, variant=variant,
             dataset=getattr(dataset, "name", str(dataset)),
             metrics=metrics, result=result, report=report, checked=checked,
-            strategy=strategy, backend=backend, oracle=oracle,
+            strategy=strategy, engine=engine,
         )
 
 

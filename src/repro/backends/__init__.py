@@ -1,51 +1,21 @@
-"""Pluggable execution backends.
+"""Targets beside the simulator: the CPU interpreter and the CUDA emitter.
 
-The simulator used to be the only target of the toolchain; this package
-turns "where does a program run (or lower to)" into a registry axis,
-mirroring :mod:`repro.compiler.strategies`. Built-ins:
-
-``sim``
-    the SIMT functional simulator with the timing model (the default —
-    omitting ``--backend`` everywhere means exactly this);
 ``cpu``
-    an independent NumPy-backed interpreter that executes programs for
-    differential testing against the sim (``tests/test_backends.py``);
+    an independent NumPy-backed interpreter (:class:`CpuDevice`) that
+    executes programs without a timing model; it is the ``cpu`` entry of
+    the engine registry (:mod:`repro.engines`, ``repro run --engine
+    cpu``) and the differential cross-check of the simulator;
 ``cuda``
-    a CUDA-C emitter producing compilable ``.cu`` files (golden-file
-    tested; ``repro compile <app> <variant> --backend cuda``).
-
-Registering a backend makes it reachable end-to-end — ``App.run``, the
-experiment runner's cache key, and the CLI — without touching any of
-them::
-
-    from repro.backends import Backend, register_backend
-
-    class MyBackend(Backend):
-        name = "mine"
-        executes = True
-        def make_device(self, **kw): ...
-
-    register_backend(MyBackend())
+    a CUDA-C emitter (:func:`emit_cuda`) producing compilable ``.cu``
+    files (golden-file tested; ``repro compile <app> --target cuda``).
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from .base import Backend, BackendError
-from .cpu import CpuBackend, CpuDevice, CpuJob, run_job, run_jobs
-from .cuda import (
-    CudaBackend, check_cu_syntax, clear_emit_cache, emit_cuda,
-    normalize_cuda,
-)
-from .sim import SimBackend
+from .cpu import CpuDevice, CpuJob, run_job, run_jobs
+from .cuda import check_cu_syntax, clear_emit_cache, emit_cuda, normalize_cuda
 
 __all__ = [
-    "Backend",
-    "BackendError",
-    "SimBackend",
-    "CpuBackend",
-    "CudaBackend",
     "CpuDevice",
     "CpuJob",
     "run_job",
@@ -54,67 +24,4 @@ __all__ = [
     "normalize_cuda",
     "check_cu_syntax",
     "clear_emit_cache",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "unregister_backend",
-    "BUILTIN_BACKENDS",
-    "DEFAULT_BACKEND",
 ]
-
-#: the backend every run uses when none is named; omitting ``--backend``
-#: and naming this one produce identical cache keys (see store.run_key)
-DEFAULT_BACKEND = "sim"
-
-#: name -> singleton; insertion order is the presentation order of
-#: ``repro list``
-_REGISTRY: dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend, replace: bool = False) -> Backend:
-    """Add a backend to the registry (validated); returns it."""
-    if not isinstance(backend, Backend):
-        raise TypeError(f"expected a Backend instance, got {backend!r}")
-    if not backend.name:
-        raise ValueError(f"{type(backend).__name__} must define a name")
-    if not (backend.executes or backend.emits):
-        raise ValueError(
-            f"backend {backend.name!r} must execute programs or emit "
-            "source (or both)")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (test/plugin cleanup). Built-ins may be removed
-    too; re-register them from the exported classes if needed."""
-    if name not in _REGISTRY:
-        raise KeyError(f"backend {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def get_backend(name: Union[str, Backend]) -> Backend:
-    """Look up a backend by name; instances pass through unchanged."""
-    if isinstance(name, Backend):
-        return name
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise BackendError(
-            f"unknown backend {name!r}; "
-            f"available: {', '.join(available_backends())}")
-    return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-register_backend(SimBackend())
-register_backend(CpuBackend())
-register_backend(CudaBackend())
-
-#: the built-in targets, as registered singletons
-BUILTIN_BACKENDS = tuple(_REGISTRY.values())

@@ -1,10 +1,10 @@
-"""Executing CPU backend: a NumPy-backed MiniCUDA interpreter.
+"""The ``cpu`` engine: a NumPy-backed MiniCUDA interpreter.
 
 This is an *independent implementation* of MiniCUDA execution — it walks
 the typed AST directly instead of going through
 :mod:`repro.backend.codegen`'s Python-source lowering, and it carries its
 own global memory, consolidation-buffer runtime and grid barrier. The
-differential harness (``tests/test_backends.py``) runs every benchmark
+differential harness (``tests/test_engines.py``) runs every benchmark
 variant and a fuzzed program corpus on both implementations and requires
 element-for-element equal results, which turns the simulator's semantic-
 preservation story into a cross-implementation property.
@@ -35,7 +35,7 @@ Interpreted execution is a pure function of (source, arrays, launches),
 so batches fan out across processes: :func:`run_jobs` executes
 :class:`CpuJob` descriptions in a ``ProcessPoolExecutor`` (used by
 ``benchmarks/bench_backends.py``; the experiment runner's ``prefetch``
-gets the same effect for full app runs via the ``--backend cpu`` axis).
+gets the same effect for full app runs via ``--engine cpu``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from ..sim.events import (
 from ..sim.profiler import RunMetrics
 from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
 
-from .base import Backend, BackendError
 
 # thread states (same lattice as the engine)
 _RUNNING = 0
@@ -1296,26 +1295,3 @@ def run_jobs(jobs: list, processes: Optional[int] = None) -> list:
         return [job.run() for job in jobs]
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(run_job, jobs))
-
-
-class CpuBackend(Backend):
-    """NumPy/multiprocessing interpreter backend (executes, no emit)."""
-
-    name = "cpu"
-    summary = ("executing NumPy interpreter (independent semantics "
-               "cross-check; no timing model)")
-    executes = True
-    emits = False
-
-    def make_device(self, spec: DeviceSpec = K20C,
-                    cost: CostModel = DEFAULT_COST_MODEL,
-                    allocator: str = "custom",
-                    heap_bytes: Optional[int] = None,
-                    engine: Optional[str] = None) -> CpuDevice:
-        if engine is not None:
-            raise BackendError(
-                "the cpu backend has a single execution strategy; "
-                f"engine {engine!r} (oracle selection) only applies to "
-                "the simulator backend")
-        return CpuDevice(spec=spec, cost=cost, allocator=allocator,
-                         heap_bytes=heap_bytes)

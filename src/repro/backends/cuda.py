@@ -1,6 +1,6 @@
-"""CUDA-C emitter backend: lower MiniCUDA to a compilable ``.cu`` file.
+"""CUDA-C emitter: lower MiniCUDA to a compilable ``.cu`` file.
 
-The simulator executes MiniCUDA; this backend *emits* it — a
+The engines execute MiniCUDA; this module *emits* it — a
 self-contained CUDA translation unit with real ``<<<grid, block>>>``
 child launches, so the consolidated kernels (including the per-strategy
 designated-launcher loops the transforms synthesize) can be inspected,
@@ -41,7 +41,6 @@ from ..frontend.parser import parse
 from ..frontend.typecheck import check_module
 from ..frontend.unparser import Unparser
 
-from .base import Backend, BackendError
 
 #: bump when emitted text changes shape; part of the cache key so stale
 #: entries can never leak across versions in long-lived processes
@@ -362,15 +361,3 @@ def check_cu_syntax(text: str) -> list[str]:
         if first is not None and first > m.start():
             problems.append(f"function {fn!r} called before declaration")
     return problems
-
-
-class CudaBackend(Backend):
-    """CUDA-C source emitter (emit-only: no GPU in this environment)."""
-
-    name = "cuda"
-    summary = "CUDA-C .cu emitter with real <<<...>>> child launches"
-    executes = False
-    emits = True
-
-    def emit(self, source: str, *, name: str = "minicuda") -> str:
-        return emit_cuda(source, name=name)

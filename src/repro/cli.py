@@ -9,10 +9,13 @@
     repro run sssp grid-level       # run one app variant, print metrics
     repro run sssp consolidated --strategy block   # pick a strategy
     repro run sssp grid-level --threshold 32       # override delegation
+    repro run sssp grid-level --engine scalar      # the reference engine
     repro tune sssp --jobs 4        # search the configuration space
+    repro tune sssp --prefilter surrogate    # predict the cheap rungs
     repro run sssp tuned            # consume the persisted tuned config
     repro tuned-vs-paper            # tuned vs paper defaults, every app
-    repro compile sssp --strategy block      # show generated CUDA
+    repro compile sssp --strategy block      # show consolidated MiniCUDA
+    repro compile sssp --target cuda         # emit a .cu translation unit
     repro workloads list            # the dataset/scenario registry
     repro workloads gen star --scale 0.5     # materialize + cache one
     repro run sssp grid-level --workload star    # run on a named workload
@@ -113,6 +116,45 @@ def _make_client(args):
     return ServiceClient(socket_path=path).connect()
 
 
+def _deprecated(old: str, new: str) -> None:
+    """Warn that a flag spelling is deprecated
+    (:data:`repro.errors.DeprecationPolicy`)."""
+    import warnings
+
+    from .errors import DeprecationPolicy
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DeprecationWarning)
+        warnings.warn(f"{old} is deprecated, use {new} ({DeprecationPolicy})",
+                      DeprecationWarning, stacklevel=3)
+
+
+def _engine_flag(args):
+    """``--engine``, with the deprecated ``--backend``/``--oracle``
+    spellings lowered onto it (canonical: the default is None). Raises
+    :class:`~repro.engines.EngineError` when two flags name different
+    engines."""
+    from .engines import DEFAULT_ENGINE, EngineError, from_legacy
+    from .run_config import canonical_engine
+
+    engine = canonical_engine(args.engine)
+    named = None if args.engine is None else f"--engine {args.engine}"
+    for field in ("backend", "oracle"):
+        value = getattr(args, field)
+        if value is None:
+            continue
+        legacy = from_legacy(field, value)
+        flag = f"--{field} {value}"
+        _deprecated(flag, f"--engine {legacy or DEFAULT_ENGINE}")
+        if legacy is None:
+            continue
+        if named is not None and engine != legacy:
+            raise EngineError(f"{named} and {flag} name different engines; "
+                              "pass a single --engine")
+        engine, named = legacy, flag
+    return engine
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -160,20 +202,17 @@ def main(argv=None) -> int:
     p.add_argument("--objective", default="cycles",
                    choices=list(OBJECTIVES),
                    help="which tuned config the 'tuned' variant consumes")
-    from .backends import available_backends
+    from .engines import available_engines
 
-    p.add_argument("--backend", default=None,
-                   choices=list(available_backends()),
-                   help="execution backend (default: sim, the simulator; "
+    p.add_argument("--engine", default=None,
+                   choices=list(available_engines()),
+                   help="engine executing the run (default: vectorized; "
+                        "'scalar' is the reference simulator engine, "
                         "'cpu' cross-checks on the NumPy interpreter)")
-    from .oracle import available_oracles, get_oracle
-
-    p.add_argument("--oracle", default=None,
-                   choices=[n for n in available_oracles()
-                            if get_oracle(n).exact],
-                   help="exact oracle deciding the sim engine (default: "
-                        "sim, the vectorized engine; 'sim-scalar' runs "
-                        "the scalar reference engine)")
+    p.add_argument("--backend", default=None, choices=["sim", "cpu"],
+                   help="deprecated: --backend cpu is --engine cpu")
+    p.add_argument("--oracle", default=None, choices=["sim", "sim-scalar"],
+                   help="deprecated: --oracle sim-scalar is --engine scalar")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="also record a span trace of this run and write "
                         "it as Chrome trace-event JSON to PATH")
@@ -261,11 +300,12 @@ def main(argv=None) -> int:
                    default=None, choices=list(available_strategies()),
                    help="consolidation strategy (default: the pragma's "
                         "consldt clause)")
-    p.add_argument("--backend", default=None,
-                   choices=list(available_backends()),
-                   help="lower through an emitting backend ('cuda' emits "
-                        "a self-contained .cu unit; default: print the "
+    p.add_argument("--target", default=None, choices=["cuda"],
+                   help="lower to a target language ('cuda' emits a "
+                        "self-contained .cu unit; default: print the "
                         "consolidated MiniCUDA itself)")
+    p.add_argument("--backend", default=None, choices=["cuda"],
+                   help="deprecated: --backend cuda is --target cuda")
     _add_threshold(p)
 
     p = sub.add_parser(
@@ -289,12 +329,16 @@ def main(argv=None) -> int:
                         "of local runners")
     p.add_argument("--tcp", default=None, metavar="HOST:PORT",
                    help="like --socket, over TCP")
-    p.add_argument("--oracle", default=None,
-                   choices=list(available_oracles()),
-                   help="candidate-scoring oracle (default: sim, the "
-                        "simulator; 'surrogate' predicts the cheap rungs "
-                        "from logged runs and simulates only the final "
-                        "rung)")
+    from .tuning import PREFILTERS
+
+    p.add_argument("--prefilter", default=None, choices=list(PREFILTERS),
+                   help="rank candidates before simulating them "
+                        "('surrogate' predicts the cheap rungs from logged "
+                        "runs and simulates only the final rung; default: "
+                        "simulate every rung)")
+    p.add_argument("--oracle", default=None, choices=["sim", "surrogate"],
+                   help="deprecated: --oracle surrogate is --prefilter "
+                        "surrogate")
     _add_exec(p)
 
     p = sub.add_parser(
@@ -399,18 +443,12 @@ def main(argv=None) -> int:
         for name in available_searches():
             print(f"  {name:10s} {get_search(name).summary}")
         print("objectives:", ", ".join(OBJECTIVES))
-        from .backends import available_backends as _backends
-        from .backends import get_backend as _get_backend
+        from .engines import REGISTRY as _engines
 
-        print("backends (repro run/compile --backend):")
-        for name in _backends():
-            print(f"  {name:10s} {_get_backend(name).summary}")
-        from .oracle import available_oracles as _oracles
-        from .oracle import get_oracle as _get_oracle
-
-        print("oracles (repro run/tune --oracle):")
-        for name in _oracles():
-            print(f"  {name:10s} {_get_oracle(name).summary}")
+        print("engines (repro run --engine):")
+        for engine in _engines:
+            print(f"  {engine.name:10s} {engine.summary}")
+        print("prefilters (repro tune --prefilter):", ", ".join(PREFILTERS))
         from .workloads import available_workloads, get_workload
 
         print("workloads (repro run --workload; `repro workloads list` "
@@ -484,18 +522,16 @@ def main(argv=None) -> int:
                                  granularity=args.strategy)
         threshold = (args.threshold if args.threshold is not None
                      else app.threshold)
+        target = args.target
         if args.backend is not None:
-            from .backends import BackendError, get_backend
+            _deprecated(f"--backend {args.backend}",
+                        f"--target {args.backend}")
+            target = target or args.backend
+        if target == "cuda":
+            from .backends import emit_cuda
 
-            try:
-                backend = get_backend(args.backend)
-                emitted = backend.emit(
-                    res.source,
-                    name=f"{args.app}_{args.strategy or 'pragma'}")
-            except BackendError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(emitted)
+            print(emit_cuda(res.source,
+                            name=f"{args.app}_{args.strategy or 'pragma'}"))
             return 0
         print(f"// {res.report.describe()}")
         print(f"// delegation threshold: {threshold} (host launch argument; "
@@ -504,6 +540,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
+        from .engines import EngineError
+
+        try:
+            # before anything is built: a contradiction costs nothing
+            engine = _engine_flag(args)
+        except EngineError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         from .apps import get_app
         from .experiments import ExperimentRunner, RunSpec
         from .tuning import TunedConfigRegistry, default_tuned_path
@@ -528,7 +572,7 @@ def main(argv=None) -> int:
         spec = RunSpec(app=args.app, variant=args.variant,
                        allocator=args.allocator, threshold=args.threshold,
                        strategy=args.strategy, workload=args.workload,
-                       backend=args.backend, oracle=args.oracle)
+                       engine=engine)
         from contextlib import ExitStack
 
         tracer = None
@@ -562,10 +606,8 @@ def main(argv=None) -> int:
         wall = time.time() - t0
         label = run.variant if run.strategy is None else \
             f"{run.variant}:{run.strategy}"
-        if run.backend is not None:
-            label += f"@{run.backend}"
-        if getattr(run, "oracle", None) is not None:
-            label += f"+{run.oracle}"
+        if run.engine is not None:
+            label += f"@{run.engine}"
         print(f"{app.label} [{label}] on {run.dataset} "
               f"(verified={run.checked}, wall={wall:.1f}s)")
         if run.report is not None:
@@ -738,6 +780,14 @@ def main(argv=None) -> int:
     if args.command == "tune":
         from .tuning import Tuner, TunedConfigRegistry, default_tuned_path
 
+        prefilter = args.prefilter
+        if args.oracle is not None:
+            _deprecated(f"--oracle {args.oracle}",
+                        "--prefilter surrogate" if args.oracle == "surrogate"
+                        else "no --prefilter")
+            if args.oracle == "surrogate":
+                prefilter = "surrogate"
+
         # --no-cache keeps the whole invocation off disk: no run store,
         # and no write to the (possibly global) tuned-config registry
         registry = (None if args.no_cache else
@@ -760,7 +810,7 @@ def main(argv=None) -> int:
                       registry=registry, jobs=args.jobs,
                       verify=not args.no_verify,
                       dataset_cache=_make_dataset_cache(args),
-                      service=service, oracle=args.oracle)
+                      service=service, prefilter=prefilter)
         t0 = time.time()
         try:
             result = tuner.tune(args.app, objective=args.objective,

@@ -46,17 +46,10 @@ class RunSpec:
     registered on the runner (:meth:`ExperimentRunner.register_dataset`,
     e.g. Fig. 6's tree datasets) — at most one of the two may be set.
 
-    ``backend`` names a registered execution backend
-    (:mod:`repro.backends`); ``None`` means the default simulator, and
-    the runner folds an explicit ``'sim'`` onto ``None`` the same way
-    the workload axis folds defaults, so pre-backend cache keys are
-    preserved byte-for-byte.
-
-    ``oracle`` names a registered *exact* oracle (:mod:`repro.oracle`)
-    deciding which functional-engine implementation answers the run;
-    ``None`` means the default (``'sim'``, the vectorized engine), which
-    an explicit ``'sim'`` folds onto. Learned oracles are tuning
-    prefilters, not executable runs, and are rejected at resolve time.
+    ``engine`` names a registered engine (:mod:`repro.engines`) that
+    executes the run; ``None`` means the default, which an explicit
+    ``'vectorized'`` folds onto, so default-engine cache keys are the
+    ones written before the axis existed.
     """
 
     app: str
@@ -68,8 +61,7 @@ class RunSpec:
     threshold: Optional[int] = None
     strategy: Optional[str] = None
     workload: Optional[str] = None
-    backend: Optional[str] = None
-    oracle: Optional[str] = None
+    engine: Optional[str] = None
 
     @classmethod
     def from_config(cls, app: str, config: "object",
@@ -81,8 +73,7 @@ class RunSpec:
                    allocator=config.allocator, config=config.config,
                    dataset=dataset, cost=cost,
                    threshold=config.threshold, strategy=config.strategy,
-                   workload=config.workload, backend=config.backend,
-                   oracle=config.oracle)
+                   workload=config.workload, engine=config.engine)
 
     @staticmethod
     def config_key(config: Optional[LaunchConfig]) -> Optional[tuple]:

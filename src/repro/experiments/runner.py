@@ -34,6 +34,8 @@ from typing import Iterable, Optional
 
 from ..apps import get_app
 from ..apps.common import AppRun
+from ..engines import engine_for
+from ..run_config import canonical_engine
 from ..sim.occupancy import LaunchConfig
 from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
 from ..telemetry import span
@@ -77,8 +79,7 @@ def _execute(spec: RunSpec, dataset, device_spec: DeviceSpec,
         verify=verify,
         threshold=spec.threshold,
         strategy=spec.strategy,
-        backend=spec.backend,
-        oracle=spec.oracle,
+        engine=spec.engine,
     )
 
 
@@ -141,7 +142,7 @@ class ExperimentRunner:
     #: which tuned objective the ``'tuned'`` variant resolves against
     tuned_objective: str = "cycles"
     #: surrogate training log (:class:`repro.oracle.TrainingLog`): every
-    #: executed default-backend run appends one (axes -> metrics) row.
+    #: executed run on a timed engine appends one (axes -> metrics) row.
     #: ``None`` auto-derives the conventional log beside ``store`` when
     #: one is attached; pass ``False`` to disable logging entirely
     training_log: Optional[object] = None
@@ -272,12 +273,9 @@ class ExperimentRunner:
                 f"{spec.dataset!r}, workload={spec.workload!r})")
         if workload != spec.workload:
             spec = replace(spec, workload=workload)
-        backend = self._canonical_backend(spec.backend)
-        if backend != spec.backend:
-            spec = replace(spec, backend=backend)
-        oracle = self._canonical_oracle(spec.oracle)
-        if oracle != spec.oracle:
-            spec = replace(spec, oracle=oracle)
+        engine = canonical_engine(spec.engine)
+        if engine != spec.engine:
+            spec = replace(spec, engine=engine)
         if spec.variant == TUNED:
             spec = self._resolve_tuned(spec)
         variant, strategy = canonicalize_variant(spec.variant, spec.strategy)
@@ -289,35 +287,6 @@ class ExperimentRunner:
             return spec
         return replace(spec, variant=variant, strategy=strategy,
                        cost=cost, threshold=threshold)
-
-    @staticmethod
-    def _canonical_backend(backend: Optional[str]) -> Optional[str]:
-        """Canonicalize a backend name: the default simulator folds onto
-        None (so the axis never forks pre-existing cache entries), other
-        names are validated against the registry and must execute."""
-        if backend is None:
-            return None
-        from ..backends import DEFAULT_BACKEND, get_backend
-
-        resolved = get_backend(backend)  # raises BackendError if unknown
-        if not resolved.executes:
-            raise ValueError(
-                f"backend {resolved.name!r} does not execute programs; "
-                "use `repro compile --backend` for emit-only backends")
-        if resolved.name == DEFAULT_BACKEND:
-            return None
-        return resolved.name
-
-    @staticmethod
-    def _canonical_oracle(oracle: Optional[str]) -> Optional[str]:
-        """Canonicalize an oracle name: the default folds onto None (so
-        the axis never forks pre-existing cache entries), other names
-        are validated against the registry and must be exact — learned
-        oracles approximate metrics and cannot *be* a run. Shared with
-        :class:`repro.run_config.RunConfig` so both spellings agree."""
-        from ..run_config import _canonical_oracle
-
-        return _canonical_oracle(oracle)
 
     def _content_key(self, resolved: RunSpec) -> str:
         from .. import __version__
@@ -336,8 +305,7 @@ class ExperimentRunner:
             version=__version__,
             strategy=resolved.strategy,
             workload=resolved.workload,
-            backend=resolved.backend,
-            oracle=resolved.oracle,
+            engine=resolved.engine,
         )
 
     # -- execution ------------------------------------------------------------
@@ -350,9 +318,9 @@ class ExperimentRunner:
             with span("runner.store-put", app=resolved.app,
                       variant=resolved.variant):
                 self.store.put(self._content_key(resolved), run)
-        if (self.training_log is not None and resolved.backend is None
-                and resolved.dataset is None):
-            # surrogate training pair: only simulator runs on registry
+        if (self.training_log is not None and resolved.dataset is None
+                and engine_for(resolved.engine).timed):
+            # surrogate training pair: only timed runs on registry
             # workloads are reproducible training contexts (explicitly
             # registered datasets have no stable reference to featurize)
             self.training_log.record(
@@ -424,13 +392,12 @@ class ExperimentRunner:
             threshold: Optional[int] = None,
             strategy: Optional[str] = None,
             workload: Optional[str] = None,
-            backend: Optional[str] = None,
-            oracle: Optional[str] = None) -> AppRun:
+            engine: Optional[str] = None) -> AppRun:
         return self.run_spec(RunSpec(
             app=app_key, variant=variant, allocator=allocator,
             config=RunSpec.config_key(config), dataset=dataset_name,
             cost=cost, threshold=threshold, strategy=strategy,
-            workload=workload, backend=backend, oracle=oracle,
+            workload=workload, engine=engine,
         ))
 
     def run_config(self, app_key: str, config,

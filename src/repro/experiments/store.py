@@ -106,8 +106,7 @@ def run_key(*, app: str, variant: str, allocator: str,
             cost, spec, threshold: int, verify: bool,
             version: str, strategy: Optional[str] = None,
             workload: Optional[str] = None,
-            backend: Optional[str] = None,
-            oracle: Optional[str] = None) -> str:
+            engine: Optional[str] = None) -> str:
     """Stable content address for one application run.
 
     ``strategy`` is the consolidation-strategy axis; it is ``None`` for
@@ -123,18 +122,14 @@ def run_key(*, app: str, variant: str, allocator: str,
     ``None`` case keeps every pre-PR-4 key byte-identical — which is why
     the workload axis did *not* bump ``STORE_FORMAT`` (DESIGN.md §12).
 
-    ``backend`` follows the same only-when-set rule: the runner folds
-    the default ``'sim'`` onto ``None`` before keying, so every
-    pre-backend key is byte-identical and only genuinely different
-    execution targets (e.g. ``'cpu'``) get distinct addresses
-    (DESIGN.md §14).
-
-    ``oracle`` does too: the default (vectorized) engine keys as None,
-    and only an explicitly non-default exact oracle (``'sim-scalar'``)
-    enters the payload. The engines produce bitwise-identical metrics,
-    so distinct addresses are pure provenance — they record *which
-    implementation* produced an entry — at the cost of one redundant
-    simulation per differential pairing (DESIGN.md §15).
+    ``engine`` follows the same only-when-set rule: the default folds
+    onto ``None`` before keying, and a non-default engine enters under
+    its :func:`repro.engines.key_field` entry — ``scalar`` as
+    ``oracle: sim-scalar`` and ``cpu`` as ``backend: cpu``, the fields
+    those runs were keyed under before the engine axis — so every
+    existing address is unchanged (DESIGN.md §14). The two simulator
+    engines give bitwise-identical metrics, so their distinct addresses
+    record only *which implementation* produced an entry.
     """
     payload = {
         "format": STORE_FORMAT,
@@ -152,10 +147,11 @@ def run_key(*, app: str, variant: str, allocator: str,
     }
     if workload is not None:
         payload["workload"] = workload
-    if backend is not None:
-        payload["backend"] = backend
-    if oracle is not None:
-        payload["oracle"] = oracle
+    if engine is not None:
+        from ..engines import key_field
+
+        field, value = key_field(engine)
+        payload[field] = value
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -18,7 +18,7 @@ Implementation notes:
 * **Honest fallback.** Below :data:`MIN_TRAIN_ROWS` usable rows the
   model refuses to fit, and :class:`SurrogateOracle` transparently
   delegates to its embedded simulation oracle — a cold store tunes
-  exactly like ``--oracle sim``, never off a garbage model.
+  exactly like a tune without the prefilter, never off a garbage model.
 
 :class:`SurrogateOracle` implements the scorer contract of
 :class:`repro.tuning.oracle.SimulationOracle` (``evaluate`` /

@@ -1,7 +1,7 @@
 """The unified run configuration — one value for every run axis.
 
 The repo grew one axis per PR (variant, then strategy, then threshold,
-then workload, then backend, now oracle), each threaded as its own
+then workload, then the executing engine), each threaded as its own
 keyword through ``App.run``, :class:`~repro.experiments.plan.RunSpec`,
 the experiment runner, the service wire format, and the CLI.
 :class:`RunConfig` collapses them into one frozen, canonicalizing
@@ -15,7 +15,7 @@ value::
 Canonicalization happens at construction, so two configs describing the
 same run compare (and hash) equal: redundant (variant, strategy)
 spellings collapse (``('consolidated', 'warp')`` == ``('warp-level',
-None)``), the default backend and oracle fold onto ``None``, and a live
+None)``), the default engine folds onto ``None``, and a live
 :class:`~repro.sim.occupancy.LaunchConfig` folds to its hashable triple.
 The legacy per-axis keywords on ``App.run`` / ``ExperimentRunner.run``
 remain as compatibility shims and lower onto the same code paths, so
@@ -44,16 +44,15 @@ class RunConfig:
     ``config`` is the ``(mode, blocks, threads)`` launch-config triple
     (a live :class:`~repro.sim.occupancy.LaunchConfig` is accepted and
     folded); ``threshold=None`` means the app default, ``workload=None``
-    the app's default dataset, ``backend``/``oracle`` ``None`` the
-    default simulator on the default engine.
+    the app's default dataset, ``engine=None`` the default engine
+    (:mod:`repro.engines`).
     """
 
     variant: str = BASIC
     strategy: Optional[str] = None
     threshold: Optional[int] = None
     workload: Optional[str] = None
-    backend: Optional[str] = None
-    oracle: Optional[str] = None
+    engine: Optional[str] = None
     allocator: str = "custom"
     config: Optional[tuple] = None
     #: profiling hook, NOT a run axis: a path to write a Chrome trace
@@ -73,9 +72,7 @@ class RunConfig:
         variant, strategy = canonicalize_variant(self.variant, self.strategy)
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "backend",
-                           _canonical_backend(self.backend))
-        object.__setattr__(self, "oracle", _canonical_oracle(self.oracle))
+        object.__setattr__(self, "engine", canonical_engine(self.engine))
         config = self.config
         if config is not None and not isinstance(config, tuple):
             from .experiments.plan import RunSpec
@@ -96,8 +93,7 @@ class RunConfig:
     def describe(self) -> str:
         """Compact one-line spelling (CLI/report output)."""
         parts = [self.variant]
-        for name in ("strategy", "threshold", "workload", "backend",
-                     "oracle"):
+        for name in ("strategy", "threshold", "workload", "engine"):
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}={value}")
@@ -118,30 +114,14 @@ class RunConfig:
                 if f.compare}
 
 
-def _canonical_backend(backend: Optional[str]) -> Optional[str]:
-    """Validate and default-fold a backend name (must execute)."""
-    if backend is None:
+def canonical_engine(engine: Optional[str]) -> Optional[str]:
+    """Validate an engine name (:mod:`repro.engines`); the default folds
+    onto ``None``, so naming it leaves every cache key unchanged. The
+    one canonicalizer of the engine axis: RunConfig, the runner,
+    ``App.run``, the service decoder and the CLI all call it."""
+    if engine is None:
         return None
-    from .backends import DEFAULT_BACKEND, get_backend
+    from .engines import DEFAULT_ENGINE, get_engine
 
-    resolved = get_backend(backend)
-    if not resolved.executes:
-        raise ValueError(
-            f"backend {resolved.name!r} does not execute programs; "
-            "use `repro compile --backend` for emit-only backends")
-    return None if resolved.name == DEFAULT_BACKEND else resolved.name
-
-
-def _canonical_oracle(oracle: Optional[str]) -> Optional[str]:
-    """Validate and default-fold an oracle name (must be exact)."""
-    if oracle is None:
-        return None
-    from .oracle import DEFAULT_ORACLE, get_oracle
-
-    resolved = get_oracle(oracle)
-    if not resolved.exact:
-        raise ValueError(
-            f"oracle {resolved.name!r} is a learned approximation and "
-            "cannot execute runs; use it as a tuning prefilter "
-            "(`repro tune --oracle surrogate`)")
-    return None if resolved.name == DEFAULT_ORACLE else resolved.name
+    name = get_engine(engine).name
+    return None if name == DEFAULT_ENGINE else name

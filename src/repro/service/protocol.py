@@ -29,6 +29,12 @@ advertisement and degrades gracefully. ``metrics`` (PR 8) returns the
 daemon's full telemetry registry: a structured snapshot plus a
 Prometheus text rendering (``repro status --metrics``).
 
+A submit's ``spec`` names its executor as ``engine``
+(:mod:`repro.engines`). The field ``oracle`` (``sim`` | ``sim-scalar``),
+v1's spelling from before the engine axis, is still accepted and lowers
+onto the same spec, hence the same cache entry; any other value gets an
+error reply.
+
 This module owns the (de)serialization of the experiment types that
 cross the wire: :class:`~repro.experiments.plan.RunSpec` (requests),
 :class:`~repro.sim.profiler.RunMetrics` and run summaries (responses —
@@ -130,9 +136,11 @@ def error(rid, message: str) -> dict:
 # -- experiment types on the wire ---------------------------------------------
 
 #: RunSpec fields a submit may carry (everything else is rejected, so a
-#: typo'd axis fails loudly instead of silently running the default)
+#: typo'd axis fails loudly instead of silently running the default);
+#: ``oracle`` is the v1 spelling of ``engine``, lowered on decode
 _SPEC_FIELDS = ("app", "variant", "allocator", "config", "dataset",
-                "cost", "threshold", "strategy", "workload", "oracle")
+                "cost", "threshold", "strategy", "workload", "engine",
+                "oracle")
 
 
 def spec_to_wire(spec) -> dict:
@@ -153,14 +161,16 @@ def spec_to_wire(spec) -> dict:
         out["strategy"] = spec.strategy
     if spec.workload is not None:
         out["workload"] = spec.workload
-    if spec.oracle is not None:
-        out["oracle"] = spec.oracle
+    if spec.engine is not None:
+        out["engine"] = spec.engine
     return out
 
 
 def spec_from_wire(d: dict):
     """Rebuild a RunSpec, validating field names and shapes."""
+    from ..engines import EngineError, from_legacy
     from ..experiments.plan import RunSpec
+    from ..run_config import canonical_engine
     from ..sim.specs import CostModel
 
     if not isinstance(d, dict):
@@ -184,7 +194,8 @@ def spec_from_wire(d: dict):
     threshold = d.get("threshold")
     if threshold is not None and not isinstance(threshold, int):
         raise ProtocolError("spec.threshold must be an integer")
-    for field in ("allocator", "dataset", "strategy", "workload", "oracle"):
+    for field in ("allocator", "dataset", "strategy", "workload", "engine",
+                  "oracle"):
         value = d.get(field)
         if value is not None and not isinstance(value, str):
             raise ProtocolError(f"spec.{field} must be a string")
@@ -198,12 +209,22 @@ def spec_from_wire(d: dict):
             cost = CostModel(**cost)
         except TypeError as exc:
             raise ProtocolError(f"bad cost model: {exc}") from None
+    try:
+        engine = canonical_engine(d.get("engine"))
+        legacy = from_legacy("oracle", d.get("oracle"))
+    except EngineError as exc:
+        raise ProtocolError(str(exc)) from None
+    if legacy is not None:
+        if d.get("engine") is not None and engine != legacy:
+            raise ProtocolError(f"spec.oracle {d['oracle']!r} contradicts "
+                                f"spec.engine {d['engine']!r}")
+        engine = legacy
     return RunSpec(
         app=d["app"], variant=d["variant"],
         allocator=d.get("allocator", "custom"), config=config,
         dataset=d.get("dataset"), cost=cost,
         threshold=threshold, strategy=d.get("strategy"),
-        workload=d.get("workload"), oracle=d.get("oracle"),
+        workload=d.get("workload"), engine=engine,
     )
 
 

@@ -46,7 +46,7 @@ DEFAULT_HEAP_BYTES = 64 * 1024 * 1024
 
 #: functional-engine implementations, selectable per Device. Both run the
 #: same canonical schedule and produce bitwise-identical metrics (the
-#: differential harness in tests/test_oracle.py holds them to it);
+#: differential harness in tests/test_engines.py holds them to it);
 #: 'scalar' is the reference, 'vectorized' the batched default.
 ENGINES = {
     "scalar": FunctionalEngine,

@@ -52,6 +52,7 @@ from .space import (  # noqa: F401
     TuningSpace,
 )
 from .tuner import (  # noqa: F401
+    PREFILTERS,
     Tuner,
     TuningResult,
     WEAK_SURROGATE_RHO,

@@ -62,16 +62,12 @@ class SimulationOracle:
                  store=None, jobs: int = 1, verify: bool = True,
                  runner: Optional[ExperimentRunner] = None,
                  workload=None, dataset_cache=None, client=None,
-                 oracle: Optional[str] = None,
                  training_log=None):
         self.app = app
         self.objective: Objective = get_objective(objective)
         #: canonical workload reference every candidate is scored on
         #: (None: the app's default dataset)
         self.workload = workload
-        #: exact oracle (engine selection) every candidate runs under
-        #: (None: the default vectorized engine)
-        self.oracle = oracle
         #: surrogate training log handed to every fidelity runner
         #: (None with a store attached: the runner derives the
         #: conventional log beside it)
@@ -135,8 +131,7 @@ class SimulationOracle:
         regardless of worker completion order.
         """
         candidates = list(candidates)
-        specs = [c.run_spec(self.app, self.spec, workload=self.workload,
-                            oracle=self.oracle)
+        specs = [c.run_spec(self.app, self.spec, workload=self.workload)
                  for c in candidates]
         with span("tune.evaluate", app=self.app,
                   candidates=len(candidates),

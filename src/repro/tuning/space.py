@@ -94,21 +94,18 @@ class Candidate:
         return None
 
     def run_spec(self, app: str, spec: DeviceSpec,
-                 workload: Optional[str] = None,
-                 oracle: Optional[str] = None):
+                 workload: Optional[str] = None):
         """Lower to a RunSpec (the generic ``consolidated`` variant; the
         runner canonicalizes built-in strategies onto their legacy
         variants, so candidate runs share cache entries with Figs. 7-10
         and the granularity ablation). ``workload`` pins the dataset the
-        candidate is scored on (None: the app's default); ``oracle``
-        pins the exact oracle (engine) scoring it."""
+        candidate is scored on (None: the app's default)."""
         from ..apps.common import CONS
         from ..experiments.plan import RunSpec
 
         return RunSpec(app=app, variant=CONS, strategy=self.strategy,
                        threshold=self.threshold,
-                       config=self.config_key(spec), workload=workload,
-                       oracle=oracle)
+                       config=self.config_key(spec), workload=workload)
 
     def describe(self) -> str:
         strat = self.strategy if self.strategy is not None else "pragma"

@@ -23,6 +23,7 @@ from typing import Optional
 from .. import __version__
 from ..apps import get_app
 from ..experiments.runner import ExperimentRunner, RunStats
+from ..oracle import SurrogateOracle
 from ..sim.specs import CostModel, DeviceSpec, K20C
 from ..telemetry import span
 from .objectives import Objective, get_objective
@@ -45,7 +46,7 @@ class TuningResult:
     config: TunedConfig
     key: str
     stats: RunStats
-    #: when the scorer was a surrogate oracle: its decision report
+    #: when the surrogate prefilter scored candidates: its decision report
     #: (per-rung predicted/simulated counts, training-set Spearman rho;
     #: :meth:`repro.oracle.surrogate.SurrogateOracle.surrogate_report`)
     surrogate: Optional[dict] = None
@@ -103,8 +104,15 @@ def weak_surrogate_warning(report: Optional[dict],
         return (f"surrogate Spearman rho {rho:.3f} is below {floor:g}; "
                 "its cheap-rung ranking is weakly correlated with the "
                 "simulator, so the tuned config may be far from optimal "
-                "(consider --oracle sim or logging more training runs)")
+                "(consider tuning without --prefilter or logging more "
+                "training runs)")
     return None
+
+
+#: candidate prefilters (``repro tune --prefilter``): name -> wrapper
+#: taking ``(simulation oracle, training log)`` and returning a scorer
+#: with the same contract
+PREFILTERS = {"surrogate": SurrogateOracle}
 
 
 @dataclass
@@ -131,17 +139,22 @@ class Tuner:
     #: through the experiment service instead of local runners, sharing
     #: the daemon's coalescing, batching, and result store
     service: object = None
-    #: which registered oracle (:mod:`repro.oracle`) scores candidates:
-    #: None/'sim' = the simulator (vectorized engine), 'sim-scalar' =
-    #: the scalar reference engine, 'surrogate' = the learned
-    #: multi-fidelity prefilter (cheap rungs predicted, final rung
-    #: always simulated)
-    oracle: Optional[str] = None
+    #: a :data:`PREFILTERS` name placed in front of the simulator, or
+    #: None to simulate every candidate. Candidates always run on the
+    #: default engine: the simulator engines give bitwise-identical
+    #: metrics, so another engine would add cache entries and no result
+    prefilter: Optional[str] = None
     #: surrogate training log (:class:`repro.oracle.TrainingLog`);
     #: None with a store attached derives the conventional log beside it
     training_log: object = None
     #: run provenance accumulated across every tune() call
     stats: RunStats = field(default_factory=RunStats, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.prefilter is not None and self.prefilter not in PREFILTERS:
+            raise ValueError(
+                f"unknown prefilter {self.prefilter!r}; available: "
+                f"{', '.join(PREFILTERS)}")
 
     def _training_log(self):
         if self.training_log is None and self.store is not None:
@@ -150,23 +163,18 @@ class Tuner:
             self.training_log = TrainingLog.for_store(self.store)
         return self.training_log
 
-    def _oracle(self, app: str, objective: Objective, workload=None):
-        """Build the candidate scorer: a simulation oracle, threaded
-        through the named oracle's :meth:`~repro.oracle.Oracle.scorer`
-        (identity for exact oracles, surrogate wrapper for learned)."""
-        from ..oracle import get_oracle
-
-        named = get_oracle(self.oracle if self.oracle is not None
-                           else "sim")
+    def _scorer(self, app: str, objective: Objective, workload=None):
+        """Build the candidate scorer: a simulation oracle, wrapped in
+        the prefilter when one is named."""
         log = self._training_log()
         sim = SimulationOracle(
             app, objective, scale=self.scale, spec=self.spec, cost=self.cost,
             store=self.store, jobs=self.jobs, verify=self.verify,
             workload=workload, dataset_cache=self.dataset_cache,
-            client=self.service, training_log=log,
-            oracle=(ExperimentRunner._canonical_oracle(named.name)
-                    if named.exact else None))
-        return named.scorer(sim, training_log=log)
+            client=self.service, training_log=log)
+        if self.prefilter is None:
+            return sim
+        return PREFILTERS[self.prefilter](sim, log)
 
     def _canonical_workload(self, app: str, workload):
         """Same default-folding rule as the experiment runner (shared
@@ -193,7 +201,7 @@ class Tuner:
         workload = self._canonical_workload(app, workload)
         space = space if space is not None else TuningSpace.for_app(app)
         algo = get_search(algorithm)
-        oracle = self._oracle(app, obj, workload=workload)
+        oracle = self._scorer(app, obj, workload=workload)
 
         with span("tune.app", app=app, objective=obj.name,
                   algorithm=algo.name):

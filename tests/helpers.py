@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Optional
+
+import numpy as np
+
+from repro.engines import available_engines, get_engine
 from repro.sim.device import Device
 
 
@@ -110,3 +116,60 @@ def run_kernel(src: str, kernel: str, grid: int, block: int, arrays: dict,
     prog.launch(kernel, grid, block, *handles.values(), *scalars)
     metrics = dev.synchronize()
     return dev, metrics, handles
+
+
+# -- the differential harness ------------------------------------------------
+
+
+#: the engine every other one is held to
+REFERENCE_ENGINE = "scalar"
+
+#: RunMetrics fields an untimed engine still counts
+FUNCTIONAL_FIELDS = ("host_launches", "device_launches", "kernel_instances",
+                     "buffers_acquired", "buffer_pushes")
+
+
+def engines_under_test(timed: Optional[bool] = None) -> list[str]:
+    """Every registered engine but the reference, in registration
+    order; ``timed`` keeps only the timed (or only the untimed) ones."""
+    return [name for name in available_engines()
+            if name != REFERENCE_ENGINE
+            and (timed is None or get_engine(name).timed == timed)]
+
+
+def assert_same_metrics(engine, metrics, ref, where):
+    """Timed engines match the reference field for field; untimed ones
+    on the functional counters."""
+    got, want = dataclasses.asdict(metrics), dataclasses.asdict(ref)
+    if not get_engine(engine).timed:
+        got = {f: got[f] for f in FUNCTIONAL_FIELDS}
+        want = {f: want[f] for f in FUNCTIONAL_FIELDS}
+    assert got == want, \
+        f"{engine} metrics diverged from {REFERENCE_ENGINE} {where}"
+
+
+def run_on(engine, src, kernel, grid, block, arrays, scalars):
+    """Load, upload copies of ``arrays`` (name, array) pairs, launch
+    once and synchronize on a fresh device of ``engine``; returns the
+    arrays read back and the metrics."""
+    dev = get_engine(engine).make_device()
+    prog = dev.load(src)
+    handles = [dev.from_numpy(name, arr.copy()) for name, arr in arrays]
+    prog.launch(kernel, grid, block, *handles, *scalars)
+    metrics = dev.synchronize()
+    return [h.to_numpy() for h in handles], metrics
+
+
+def assert_engines_agree(engines, src, kernel, grid, block, arrays, scalars,
+                         where):
+    """Each of ``engines`` gives the reference engine's output arrays
+    and metrics (see :func:`assert_same_metrics`) on one launch."""
+    ref_out, ref_metrics = run_on(REFERENCE_ENGINE, src, kernel, grid,
+                                  block, arrays, scalars)
+    for engine in engines:
+        out, metrics = run_on(engine, src, kernel, grid, block, arrays,
+                              scalars)
+        for got, want in zip(out, ref_out):
+            np.testing.assert_array_equal(
+                got, want, err_msg=f"{engine} output diverged {where}")
+        assert_same_metrics(engine, metrics, ref_metrics, where)

@@ -1,19 +1,15 @@
-"""Backend registry + CPU-backend differential harness.
+"""The CPU interpreter (the ``cpu`` engine) and its cache axis.
 
-The headline property of the backend subsystem is *differential*: for
-every benchmark app under every consolidation strategy — and for a fuzzed
-stream of MiniCUDA programs — the NumPy/multiprocessing CPU backend must
-produce exactly the simulator's functional output, element for element.
-The CPU interpreter mirrors the simulator's canonical schedule (block
-order, warp rounds, lockstep lanes), so even schedule-dependent results
-(float atomicAdd accumulation order, CAS claim winners) must match
-bitwise; any divergence is an interpreter/codegen semantics bug, not
-noise.
-
-Alongside the harness: registry contract tests, CpuDevice/CpuJob unit
-tests, the run-key backward-compatibility regression (an omitted backend
-must leave every pre-existing cache address byte-identical), and the
-runner's sim-folds-to-None canonicalization.
+The registry entries that replaced the backends (``sim`` is now the
+default engine, ``cpu`` the ``cpu`` engine, ``cuda`` a compile target
+only), unit tests of :class:`~repro.backends.CpuDevice` and the
+:func:`~repro.backends.run_jobs` fan-out, the hand-computed C scoping of
+shadowed loop counters on both the simulator and the interpreter, the
+fuzzed-program half of the differential harness that holds the untimed
+engines to the scalar reference engine, the run-key compatibility of
+``engine="cpu"`` (it must key exactly as the ``backend="cpu"`` runs
+written before the engine axis), and the runner and CLI paths. The rest
+of the harness lives in ``tests/test_engines.py``.
 """
 
 import dataclasses
@@ -27,18 +23,17 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro import __version__
-from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
-from repro.backends import (
-    Backend,
-    BackendError,
-    CpuDevice,
-    CpuJob,
-    available_backends,
-    get_backend,
-    register_backend,
-    run_job,
-    run_jobs,
-    unregister_backend,
+from repro.backends import CpuDevice, CpuJob, run_job, run_jobs
+from repro.engines import (
+    DEFAULT_ENGINE,
+    Engine,
+    EngineError,
+    REGISTRY,
+    available_engines,
+    engine_for,
+    get_engine,
+    register_engine,
+    unregister_engine,
 )
 from repro.errors import LaunchError, SimulationError
 from repro.experiments.plan import RunSpec
@@ -48,77 +43,64 @@ from repro.sim.device import Device
 from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 
 from tests.helpers import (
+    assert_engines_agree,
+    engines_under_test,
     make_fuzz_kernel,
     minicuda_body,
-    minicuda_expr,
     run_source,
 )
 
-DP_VARIANTS = (BASIC, WARP, BLOCK, GRID)
 
-#: small enough to keep the 7 apps x 4 variants x 2 backends matrix in
-#: test time, large enough that every app actually delegates work
-SCALE = 0.08
-
-
-# -- registry contract --------------------------------------------------------
+# -- the registry entries that replaced the backends -------------------------
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_backends() == ("sim", "cpu", "cuda")
+        """The backends ``sim`` and ``cpu`` are engines (``sim`` as the
+        two simulator entries); ``cuda`` is not."""
+        assert available_engines() == ("vectorized", "scalar", "cpu")
+        assert [e.name for e in REGISTRY] == list(available_engines())
 
     def test_get_backend_by_name_and_instance(self):
-        cpu = get_backend("cpu")
-        assert cpu.name == "cpu" and cpu.executes and not cpu.emits
-        assert get_backend(cpu) is cpu
+        cpu = get_engine("cpu")
+        assert cpu.name == "cpu" and not cpu.timed
+        assert isinstance(cpu.make_device(), CpuDevice)
+        assert get_engine(cpu) is cpu
 
     def test_sim_is_default_and_executes(self):
-        sim = get_backend("sim")
-        assert sim.executes
+        sim = engine_for(None)
+        assert sim is get_engine(DEFAULT_ENGINE) and sim.timed
         dev = sim.make_device(spec=K20C, cost=DEFAULT_COST_MODEL,
                               allocator="custom", heap_bytes=None)
         assert isinstance(dev, Device)
-
-    def test_cuda_emits_only(self):
-        cuda = get_backend("cuda")
-        assert cuda.emits and not cuda.executes
-        with pytest.raises(BackendError, match="repro compile"):
-            cuda.make_device(spec=K20C, cost=DEFAULT_COST_MODEL,
-                             allocator="custom", heap_bytes=None)
+        out, = run_source(_ADD_ONE, "add_one", 1, 32,
+                          [("out", np.zeros(4, np.int32))], (4,),
+                          device_factory=lambda: dev)
+        assert out.tolist() == [1] * 4
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(BackendError, match="cpu"):
-            get_backend("tpu")
+        """CUDA is emitted by ``repro compile --target cuda``; naming it
+        as an executor is an unknown engine."""
+        with pytest.raises(EngineError, match="unknown engine 'cuda'; "
+                                              "available: vectorized, "
+                                              "scalar, cpu"):
+            get_engine("cuda")
 
     def test_register_validates_and_replaces(self):
-        class Fake(Backend):
-            name = "fake"
-            summary = "test double"
-            executes = True
-
-            def make_device(self, **kwargs):
-                raise NotImplementedError
-
-        register_backend(Fake())
+        fake = Engine("fake", "test double", lambda *args: CpuDevice(),
+                      timed=False)
+        register_engine(fake)
         try:
-            assert "fake" in available_backends()
+            assert "fake" in available_engines()
+            assert isinstance(get_engine("fake").make_device(), CpuDevice)
             with pytest.raises(ValueError, match="already registered"):
-                register_backend(Fake())
-            register_backend(Fake(), replace=True)
+                register_engine(fake)
+            register_engine(fake, replace=True)
         finally:
-            unregister_backend("fake")
-        assert "fake" not in available_backends()
+            unregister_engine("fake")
+        assert "fake" not in available_engines()
         with pytest.raises(KeyError):
-            unregister_backend("fake")
-
-    def test_register_rejects_inert_backend(self):
-        class Inert(Backend):
-            name = "inert"
-            summary = "neither executes nor emits"
-
-        with pytest.raises(ValueError, match="execute|emit"):
-            register_backend(Inert())
+            unregister_engine("fake")
 
 
 # -- CpuDevice unit behaviour -------------------------------------------------
@@ -201,34 +183,8 @@ class TestCpuJobs:
             np.testing.assert_array_equal(s["out"], p["out"])
 
 
-# -- the differential harness -------------------------------------------------
+# -- C scoping of shadowed loop counters ----------------------------------
 
-
-APP_KEYS = [a.key for a in all_apps()]
-
-
-@pytest.fixture(scope="module")
-def datasets():
-    return {key: get_app(key).default_dataset(SCALE) for key in APP_KEYS}
-
-
-@pytest.mark.parametrize("key", APP_KEYS)
-@pytest.mark.parametrize("variant", DP_VARIANTS)
-def test_cpu_backend_matches_sim(key, variant, datasets):
-    """Every app x strategy pair: the CPU backend's functional result
-    must equal the simulator's element for element (bitwise — the CPU
-    interpreter replays the sim's exact schedule)."""
-    app = get_app(key)
-    sim = app.run(variant, dataset=datasets[key], verify=False)
-    cpu = app.run(variant, dataset=datasets[key], verify=False,
-                  backend="cpu")
-    assert cpu.backend == "cpu" and sim.backend is None
-    np.testing.assert_array_equal(
-        cpu.result, sim.result,
-        err_msg=f"cpu backend diverged from sim on {key} [{variant}]")
-
-
-_fuzz_body = minicuda_body()
 
 #: fuzzed bodies whose loops redeclare an enclosing loop's counter, with
 #: the ``acc`` C semantics give (computed by hand): the inner ``i`` is a
@@ -254,6 +210,9 @@ def test_shadowed_loop_counters_follow_c_scoping(body, acc, device_factory):
     assert out.tolist() == [acc] * 8
 
 
+_fuzz_body = minicuda_body()
+
+
 @given(_fuzz_body)
 @example(SHADOWED_LOOP_BODIES[0][0])
 @example(SHADOWED_LOOP_BODIES[1][0])
@@ -261,57 +220,15 @@ def test_shadowed_loop_counters_follow_c_scoping(body, acc, device_factory):
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_programs_match_sim(body):
     """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as
-    test_fuzz_programs): CPU backend output equals sim output exactly,
-    including racy interleaved writes — both engines run the identical
-    canonical schedule."""
+    test_fuzz_programs), including racy interleaved writes: every
+    untimed engine (the CPU interpreter) gives the scalar simulator's
+    output exactly and its functional counters — both run the identical
+    canonical schedule. The timed engines' half is
+    ``test_oracle.py::test_fuzzed_programs_match_scalar``."""
     src = make_fuzz_kernel(body)
-    arrays = [("out", np.arange(8, dtype=np.int32))]
-    sim = run_source(src, "fuzz", 1, 8, arrays, (5,))
-    cpu = run_source(src, "fuzz", 1, 8, arrays, (5,),
-                     device_factory=CpuDevice)
-    np.testing.assert_array_equal(cpu[0], sim[0], err_msg=src)
-
-
-_DP_TMPL = """
-__global__ void child(int* buf, int* out, int u, int n) {
-    out[u] = @EXPR@;
-}
-__global__ void parent(int* buf, int* out, int n) {
-    int u = blockIdx.x * blockDim.x + threadIdx.x;
-    if (u < n) {
-        int w = buf[u % 16];
-        #pragma dp consldt(block) work(u)
-        if (w > 8) {
-            child<<<1, 1>>>(buf, out, u, n);
-        } else {
-            out[u] = 0 - w;
-        }
-    }
-}
-"""
-
-_child_expr = minicuda_expr(
-    atoms=["u", "n", "buf[u]", "buf[u % 16]", "buf[(u + 7) % 16]"])
-
-
-@given(_child_expr)
-@settings(max_examples=10, deadline=None)
-def test_fuzzed_dp_programs_match_sim(expr):
-    """Fuzzed dynamic-parallelism programs, basic and consolidated: the
-    CPU backend's __dp_* runtime (buffer table, designated launchers)
-    must agree with the simulator's."""
-    from repro.compiler import consolidate_source
-
-    rng = np.random.default_rng(23)
-    arrays = [("buf", rng.integers(0, 32, 64).astype(np.int32)),
-              ("out", np.zeros(64, np.int32))]
-    for src in (_DP_TMPL.replace("@EXPR@", expr),
-                consolidate_source(_DP_TMPL.replace("@EXPR@", expr),
-                                   granularity="block").source):
-        sim = run_source(src, "parent", 2, 32, arrays, (64,))
-        cpu = run_source(src, "parent", 2, 32, arrays, (64,),
-                         device_factory=CpuDevice)
-        np.testing.assert_array_equal(cpu[1], sim[1], err_msg=expr)
+    assert_engines_agree(engines_under_test(timed=False), src, "fuzz", 1, 8,
+                         [("out", np.arange(8, dtype=np.int32))], (5,),
+                         f"on\n{src}")
 
 
 # -- run-key backward compatibility -------------------------------------------
@@ -348,20 +265,22 @@ class TestRunKeyCompat:
 
     def test_omitted_backend_is_byte_identical_to_legacy(self):
         assert run_key(**self.KWARGS) == self._legacy_key()
-        assert run_key(**self.KWARGS, backend=None) == self._legacy_key()
+        assert run_key(**self.KWARGS, engine=None) == self._legacy_key()
 
     def test_workload_and_backend_only_enter_when_set(self):
+        """``engine="cpu"`` keys exactly as a ``backend="cpu"`` run did
+        before the engine axis."""
         assert (run_key(**self.KWARGS, workload="kron(seed=9)")
                 == self._legacy_key(workload="kron(seed=9)"))
-        assert (run_key(**self.KWARGS, backend="cpu")
+        assert (run_key(**self.KWARGS, engine="cpu")
                 == self._legacy_key(backend="cpu"))
 
     def test_backend_forks_the_address(self):
         base = run_key(**self.KWARGS)
-        assert run_key(**self.KWARGS, backend="cpu") != base
+        assert run_key(**self.KWARGS, engine="cpu") != base
 
-    def test_runspec_default_backend_is_none(self):
-        assert RunSpec(app="sssp", variant="basic-dp").backend is None
+    def test_runspec_default_engine_is_none(self):
+        assert RunSpec(app="sssp", variant="basic-dp").engine is None
 
 
 # -- runner integration -------------------------------------------------------
@@ -371,12 +290,12 @@ class TestRunnerBackendAxis:
     def _runner(self, tmp):
         return ExperimentRunner(store=ResultStore(Path(tmp)), scale=0.05)
 
-    def test_explicit_sim_folds_to_none(self):
+    def test_explicit_default_engine_folds_to_none(self):
         with tempfile.TemporaryDirectory() as tmp:
             runner = self._runner(tmp)
             implicit = runner.run("sssp", "basic-dp")
-            explicit = runner.run("sssp", "basic-dp", backend="sim")
-            assert implicit.backend is None and explicit.backend is None
+            explicit = runner.run("sssp", "basic-dp", engine="vectorized")
+            assert implicit.engine is None and explicit.engine is None
             # the fold makes them one cache entry, not two executions
             assert runner.stats.executed == 1
             assert runner.stats.memory_hits == 1
@@ -385,20 +304,24 @@ class TestRunnerBackendAxis:
         with tempfile.TemporaryDirectory() as tmp:
             runner = self._runner(tmp)
             sim = runner.run("sssp", "basic-dp")
-            cpu = runner.run("sssp", "basic-dp", backend="cpu")
+            cpu = runner.run("sssp", "basic-dp", engine="cpu")
             assert runner.stats.executed == 2
-            assert cpu.backend == "cpu"
+            assert cpu.engine == "cpu"
             np.testing.assert_array_equal(cpu.result, sim.result)
 
     def test_emit_only_backend_rejected_up_front(self):
+        """CUDA is a compile target, not an engine: naming it fails
+        before anything is built."""
         with tempfile.TemporaryDirectory() as tmp:
-            with pytest.raises(ValueError, match="does not execute"):
-                self._runner(tmp).run("sssp", "basic-dp", backend="cuda")
+            runner = self._runner(tmp)
+            with pytest.raises(EngineError, match="available"):
+                runner.run("sssp", "basic-dp", engine="cuda")
+            assert runner._datasets == {}
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_engine_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
-            with pytest.raises(BackendError, match="tpu"):
-                self._runner(tmp).run("sssp", "basic-dp", backend="tpu")
+            with pytest.raises(EngineError, match="tpu"):
+                self._runner(tmp).run("sssp", "basic-dp", engine="tpu")
 
 
 class TestCliBackend:
@@ -406,14 +329,60 @@ class TestCliBackend:
         from repro.cli import main
 
         assert main(["run", "spmv", "block-level", "--scale", "0.1",
-                     "--backend", "cpu"]) == 0
+                     "--engine", "cpu"]) == 0
         out = capsys.readouterr().out
         assert "@cpu" in out
         assert "verified=True" in out
 
-    def test_list_shows_backends(self, capsys):
+    def test_deprecated_backend_flag_lowers_onto_cpu(self, capsys):
+        from repro.cli import main
+
+        with pytest.warns(DeprecationWarning, match="--engine cpu"):
+            assert main(["run", "spmv", "block-level", "--scale", "0.1",
+                         "--backend", "cpu"]) == 0
+        assert "@cpu" in capsys.readouterr().out
+
+    def test_contradictory_legacy_pair_exits_before_any_dataset(
+            self, capsys, monkeypatch):
+        """``--backend cpu --oracle sim-scalar`` names two engines: a
+        clear error and exit 2, before any dataset is materialized."""
+        from repro import workloads
+        from repro.cli import main
+
+        def no_datasets(*args, **kwargs):
+            raise AssertionError("a dataset was materialized")
+
+        monkeypatch.setattr(workloads, "materialize_for_app", no_datasets)
+        monkeypatch.setattr(workloads, "materialize", no_datasets)
+        with pytest.warns(DeprecationWarning):
+            assert main(["run", "sssp", "no-dp", "--backend", "cpu",
+                         "--oracle", "sim-scalar"]) == 2
+        err = capsys.readouterr().err
+        assert "--backend cpu and --oracle sim-scalar name different " \
+               "engines" in err
+
+    def test_compile_target_cuda(self, capsys):
+        from repro.backends import emit_cuda
+        from repro.cli import main
+        from repro.compiler import consolidate_source
+        from repro.apps import get_app
+
+        assert main(["compile", "sssp", "--strategy", "block",
+                     "--target", "cuda"]) == 0
+        out = capsys.readouterr().out
+        source = consolidate_source(get_app("sssp").annotated_source(),
+                                    granularity="block").source
+        assert out == emit_cuda(source, name="sssp_block") + "\n"
+        with pytest.warns(DeprecationWarning, match="--target cuda"):
+            assert main(["compile", "sssp", "--strategy", "block",
+                         "--backend", "cuda"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_list_shows_engines(self, capsys):
         from repro.cli import main
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "cpu" in out and "cuda" in out and "sim" in out
+        assert "engines (repro run --engine):" in out
+        for name in ("vectorized", "scalar", "cpu"):
+            assert f"\n  {name} " in out

@@ -124,8 +124,7 @@ class TestLifetime:
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            app.run("grid-level", dataset, oracle=(
-                "sim-scalar" if engine == "scalar" else None))
+            app.run("grid-level", dataset, engine=engine)
             gc.collect()
             leaked = {type(obj).__name__ for obj in gc.garbage
                       if isinstance(obj, (Device, DeviceArray, OrderedDict))}

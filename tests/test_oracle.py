@@ -1,19 +1,16 @@
-"""Oracle registry + scalar-vs-vectorized differential harness +
-surrogate unit tests.
+"""The learned surrogate prefilter and the simulator's engine selection.
 
-The headline property of the engine split is *bitwise*: for every
-benchmark app under every dynamic-parallelism variant — and for a fuzzed
-stream of MiniCUDA programs — the vectorized engine must produce exactly
-the scalar reference engine's RunMetrics, field for field, and the same
-functional output. The vectorized engine batches the scalar engine's
-per-event bookkeeping into array ops without reordering any observable
-effect (DESIGN.md §15 carries the equivalence argument), so any
-divergence is an engine bug, not noise.
-
-Alongside the harness: oracle registry contract tests, Device engine
-selection, and the learned surrogate's unit behaviour (fit/predict
-round-trip, rank-correlation floor, cold-log fallback, the
-never-predict-full-fidelity rule).
+Unit behaviour of :mod:`repro.oracle` — the surrogate model's
+fit/predict round-trip and rank-correlation floor, the cold-log
+fallback, the never-predict-full-fidelity rule, the training log — and
+how the tuner wires it in (``Tuner(prefilter="surrogate")``). Alongside:
+the registry entries that replaced the exact oracles (``sim`` and
+``sim-scalar`` are the engines ``vectorized`` and ``scalar``; the
+surrogate is no engine), ``Device`` functional-engine selection, the
+Fig. 1 DP template held bitwise to the scalar engine at both
+consolidation settings, and the fuzzed-program half of the differential
+harness that holds the timed engines to the scalar one. The rest of the
+harness lives in ``tests/test_engines.py``.
 """
 
 import dataclasses
@@ -21,26 +18,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
+from repro.apps import get_app
 from repro.errors import SimulationError
+from repro.engines import (
+    Engine,
+    EngineError,
+    REGISTRY,
+    available_engines,
+    get_engine,
+    register_engine,
+    unregister_engine,
+)
 from repro.oracle import (
-    BUILTIN_ORACLES,
-    DEFAULT_ORACLE,
-    EngineOracle,
     MIN_TRAIN_ROWS,
-    Oracle,
-    OracleError,
     SurrogateModel,
     SurrogateOracle,
     TrainingLog,
-    available_oracles,
     cost_fingerprint,
-    get_oracle,
-    register_oracle,
     spearman,
-    unregister_oracle,
 )
 from repro.sim.device import DEFAULT_ENGINE, ENGINES, Device
 from repro.sim.engine import FunctionalEngine
@@ -49,79 +46,63 @@ from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 from repro.tuning import Candidate, get_objective
 
 from tests.helpers import (
+    assert_engines_agree,
+    engines_under_test,
     make_fuzz_kernel,
     minicuda_body,
     run_kernel,
-    run_source,
 )
+from tests.test_backends import SHADOWED_LOOP_BODIES
 
-DP_VARIANTS = (BASIC, WARP, BLOCK, GRID)
-
-#: small enough to keep the 7 apps x 4 variants x 2 engines matrix in
-#: test time, large enough that every app actually delegates work
 SCALE = 0.08
 
 
-# -- registry contract --------------------------------------------------------
+# -- the registry entries that replaced the exact oracles --------------------
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_oracles() == ("sim", "sim-scalar", "surrogate")
-        assert tuple(o.name for o in BUILTIN_ORACLES) == available_oracles()
-        assert DEFAULT_ORACLE == "sim"
+        """The timed entries are the simulator's functional engines,
+        generated from ``sim.device.ENGINES`` with the default first."""
+        timed = [e.name for e in REGISTRY if e.timed]
+        assert timed == ["vectorized", "scalar"]
+        assert set(timed) == set(ENGINES)
+        assert available_engines()[0] == DEFAULT_ENGINE == "vectorized"
 
     def test_builtin_shapes(self):
-        sim = get_oracle("sim")
-        assert sim.exact and sim.engine == "vectorized"
-        scalar = get_oracle("sim-scalar")
-        assert scalar.exact and scalar.engine == "scalar"
-        surrogate = get_oracle("surrogate")
-        assert not surrogate.exact and surrogate.engine is None
+        sim = get_engine("vectorized")
+        assert sim.timed
+        assert isinstance(sim.make_device().engine, VectorizedEngine)
+        scalar = get_engine("scalar")
+        assert scalar.timed
+        assert isinstance(scalar.make_device().engine, FunctionalEngine)
 
     def test_get_oracle_instance_passthrough(self):
-        sim = get_oracle("sim")
-        assert get_oracle(sim) is sim
+        scalar = get_engine("scalar")
+        assert get_engine(scalar) is scalar
 
     def test_unknown_oracle_lists_available(self):
-        with pytest.raises(OracleError, match="surrogate"):
-            get_oracle("crystal-ball")
+        """The surrogate ranks tuning candidates; it executes nothing."""
+        with pytest.raises(EngineError, match="unknown engine 'surrogate'; "
+                                              "available: vectorized, "
+                                              "scalar, cpu"):
+            get_engine("surrogate")
 
     def test_register_validates_and_replaces(self):
-        fake = EngineOracle("fake", "scalar", "test double")
-        register_oracle(fake)
+        fake = Engine("fake", "test double",
+                      lambda *args: Device(engine="scalar"))
+        register_engine(fake)
         try:
-            assert "fake" in available_oracles()
+            assert "fake" in available_engines()
+            assert get_engine("fake").make_device().engine_name == "scalar"
             with pytest.raises(ValueError, match="already registered"):
-                register_oracle(fake)
-            register_oracle(fake, replace=True)
+                register_engine(fake)
+            register_engine(fake, replace=True)
         finally:
-            unregister_oracle("fake")
-        assert "fake" not in available_oracles()
+            unregister_engine("fake")
+        assert "fake" not in available_engines()
         with pytest.raises(KeyError):
-            unregister_oracle("fake")
-
-    def test_register_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            register_oracle(EngineOracle("bad", "quantum", "nope"))
-
-    def test_register_rejects_nameless_and_non_oracle(self):
-        class Nameless(Oracle):
-            summary = "forgot the name"
-
-        with pytest.raises(ValueError, match="name"):
-            register_oracle(Nameless())
-        with pytest.raises(TypeError, match="Oracle"):
-            register_oracle(object())
-
-    def test_default_scorer_is_identity(self):
-        """Exact oracles pass the tuner's simulation oracle through
-        unchanged; only learned ones wrap it."""
-        sentinel = object()
-        assert get_oracle("sim").scorer(sentinel) is sentinel
-        wrapped = get_oracle("surrogate").scorer(sentinel)
-        assert isinstance(wrapped, SurrogateOracle)
-        assert wrapped.sim is sentinel
+            unregister_engine("fake")
 
 
 # -- Device engine selection --------------------------------------------------
@@ -141,59 +122,14 @@ class TestEngineSelection:
         with pytest.raises(SimulationError, match="unknown sim engine"):
             Device(engine="quantum")
 
-    def test_app_run_rejects_learned_oracle(self):
-        with pytest.raises(ValueError, match="tuning prefilter"):
-            get_app("sssp").run("flat", scale=SCALE, oracle="surrogate")
+    def test_app_run_rejects_unknown_engine(self):
+        """The surrogate is a tuning prefilter, not an engine: App.run
+        rejects it before building anything."""
+        with pytest.raises(EngineError, match="available"):
+            get_app("sssp").run("flat", scale=SCALE, engine="surrogate")
 
 
-# -- the differential harness -------------------------------------------------
-
-
-APP_KEYS = [a.key for a in all_apps()]
-
-
-@pytest.fixture(scope="module")
-def datasets():
-    return {key: get_app(key).default_dataset(SCALE) for key in APP_KEYS}
-
-
-@pytest.mark.parametrize("key", APP_KEYS)
-@pytest.mark.parametrize("variant", DP_VARIANTS)
-def test_vectorized_engine_matches_scalar(key, variant, datasets):
-    """Every app x DP-variant pair: the vectorized engine's RunMetrics
-    must equal the scalar reference engine's field for field (bitwise),
-    and the functional result element for element."""
-    app = get_app(key)
-    vec = app.run(variant, dataset=datasets[key], verify=False)
-    ref = app.run(variant, dataset=datasets[key], verify=False,
-                  oracle="sim-scalar")
-    assert vec.oracle is None and ref.oracle == "sim-scalar"
-    assert (dataclasses.asdict(vec.metrics)
-            == dataclasses.asdict(ref.metrics)), \
-        f"vectorized metrics diverged from scalar on {key} [{variant}]"
-    np.testing.assert_array_equal(
-        vec.result, ref.result,
-        err_msg=f"vectorized result diverged from scalar on {key} "
-                f"[{variant}]")
-
-
-_fuzz_body = minicuda_body()
-
-
-@given(_fuzz_body)
-@settings(max_examples=60, deadline=None)
-def test_fuzzed_programs_match_scalar(body):
-    """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as
-    test_fuzz_programs): vectorized-engine output equals scalar-engine
-    output exactly, including racy interleaved writes — both engines
-    run the identical canonical schedule."""
-    src = make_fuzz_kernel(body)
-    arrays = [("out", np.arange(8, dtype=np.int32))]
-    ref = run_source(src, "fuzz", 1, 8, arrays, (5,),
-                     device_factory=lambda: Device(engine="scalar"))
-    vec = run_source(src, "fuzz", 1, 8, arrays, (5,),
-                     device_factory=lambda: Device(engine="vectorized"))
-    np.testing.assert_array_equal(vec[0], ref[0], err_msg=src)
+# -- the timed engines against scalar: the DP template and fuzzed programs --
 
 
 _DP_SRC = """
@@ -240,6 +176,26 @@ def test_dp_template_metrics_match_scalar(consolidate):
     vec_metrics, vec_out = runs["vectorized"]
     assert dataclasses.asdict(vec_metrics) == dataclasses.asdict(ref_metrics)
     np.testing.assert_array_equal(vec_out, ref_out)
+
+
+_fuzz_body = minicuda_body()
+
+
+@given(_fuzz_body)
+@example(SHADOWED_LOOP_BODIES[0][0])
+@example(SHADOWED_LOOP_BODIES[1][0])
+@example(SHADOWED_LOOP_BODIES[2][0])
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_programs_match_scalar(body):
+    """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as
+    test_fuzz_programs), including racy interleaved writes: every timed
+    engine matches the scalar engine's output and full RunMetrics. The
+    untimed engines' half is
+    ``test_backends.py::test_fuzzed_programs_match_sim``."""
+    src = make_fuzz_kernel(body)
+    assert_engines_agree(engines_under_test(timed=True), src, "fuzz", 1, 8,
+                         [("out", np.arange(8, dtype=np.int32))], (5,),
+                         f"on\n{src}")
 
 
 # -- the surrogate ------------------------------------------------------------
@@ -476,21 +432,26 @@ class TestTrainingLog:
 class TestTunerWiring:
     def test_tuner_builds_surrogate_oracle(self, tmp_path):
         from repro.experiments import ResultStore
-        from repro.tuning import Tuner
+        from repro.tuning import SimulationOracle, Tuner
 
         store = ResultStore(tmp_path / "store")
-        tuner = Tuner(scale=SCALE, store=store, oracle="surrogate")
-        oracle = tuner._oracle("sssp", get_objective("cycles"), None)
-        assert isinstance(oracle, SurrogateOracle)
-        assert oracle.sim.oracle is None  # surrogate sims on the default
-        assert oracle.training_log.path.parent == store.root
+        tuner = Tuner(scale=SCALE, store=store, prefilter="surrogate")
+        scorer = tuner._scorer("sssp", get_objective("cycles"), None)
+        assert isinstance(scorer, SurrogateOracle)
+        assert isinstance(scorer.sim, SimulationOracle)
+        assert scorer.training_log.path.parent == store.root
 
-    def test_tuner_exact_oracle_forks_sim_engine(self, tmp_path):
+    def test_tuner_without_prefilter_simulates(self, tmp_path):
         from repro.experiments import ResultStore
+        from repro.tuning import SimulationOracle, Tuner
+
+        tuner = Tuner(scale=SCALE, store=ResultStore(tmp_path / "store"))
+        scorer = tuner._scorer("sssp", get_objective("cycles"), None)
+        assert type(scorer) is SimulationOracle
+
+    def test_unknown_prefilter_rejected_at_construction(self):
         from repro.tuning import Tuner
 
-        store = ResultStore(tmp_path / "store")
-        tuner = Tuner(scale=SCALE, store=store, oracle="sim-scalar")
-        oracle = tuner._oracle("sssp", get_objective("cycles"), None)
-        assert not isinstance(oracle, SurrogateOracle)
-        assert oracle.oracle == "sim-scalar"
+        with pytest.raises(ValueError, match="unknown prefilter 'bogus'; "
+                                             "available: surrogate"):
+            Tuner(prefilter="bogus")

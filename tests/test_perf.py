@@ -122,7 +122,7 @@ class TestAttribution:
 
         for variant in ("basic-dp", "warp-level"):
             _, vec = _profiled_run(variant)
-            _, scalar = _profiled_run(variant, oracle="sim-scalar")
+            _, scalar = _profiled_run(variant, engine="scalar")
             assert columns(vec) == columns(scalar), variant
             assert vec.rescheduled_cycles == scalar.rescheduled_cycles
             assert vec.occupancy == scalar.occupancy

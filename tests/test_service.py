@@ -8,6 +8,7 @@ every test exercises the same code paths ``repro serve`` does.
 """
 
 import asyncio
+import dataclasses
 import socket
 import threading
 
@@ -306,6 +307,31 @@ class TestSubmit:
                 client.submit("nope", "basic-dp")
             ok = client.submit("spmv", "no-dp")
         assert ok.source in ("executed", "cached")
+
+    def test_v1_oracle_spelling_shares_the_engine_entry(self, service):
+        """A v1 client's ``{"oracle": "sim-scalar"}`` is served from the
+        entry an ``{"engine": "scalar"}`` submit wrote, and
+        ``{"oracle": "surrogate"}`` (a tuning prefilter, never an
+        executor) gets an error reply on a connection that survives."""
+        _, sock = service
+        with ServiceClient(socket_path=sock) as client:
+            cold = client.submit("spmv", "no-dp", engine="scalar")
+        assert cold.source == "executed"
+        spec = {"app": "spmv", "variant": "no-dp"}
+        replies = _raw_exchange(sock, [
+            {"op": "hello", "protocol": PROTOCOL_VERSION},
+            {"op": "submit", "id": 1,
+             "spec": {**spec, "oracle": "sim-scalar"}},
+            {"op": "submit", "id": 2,
+             "spec": {**spec, "oracle": "surrogate"}},
+            {"op": "status", "id": 3},
+        ], expect=4)
+        by_id = {r.get("id"): r for r in replies[1:]}
+        assert by_id[1]["ok"] and by_id[1]["source"] == "cached"
+        assert by_id[1]["run"]["metrics"] == \
+            protocol.jsonable(dataclasses.asdict(cold.metrics))
+        assert by_id[2]["ok"] is False and "surrogate" in by_id[2]["error"]
+        assert by_id[3]["ok"]
 
     def test_variant_strategy_contradiction_is_clean(self, service):
         _, sock = service

@@ -204,12 +204,12 @@ class TestTuner:
         assert parallel.best == serial.best
 
     def test_surrogate_report_rides_the_result(self, store):
-        # exact oracles carry no surrogate trail...
+        # a tune without a prefilter carries no surrogate trail...
         plain = make_tuner(store).tune("sssp", algorithm="grid",
                                        space=small_space())
         assert plain.surrogate is None
         # ...the surrogate prefilter reports its per-rung decisions
-        res = make_tuner(store, oracle="surrogate").tune(
+        res = make_tuner(store, prefilter="surrogate").tune(
             "sssp", algorithm="halving", space=small_space())
         rep = res.surrogate
         assert rep is not None and rep["oracle"] == "surrogate"
